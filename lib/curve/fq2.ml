@@ -34,6 +34,11 @@ let sqr a =
 
 let mul_by_fq k a = make (Fq.mul k a.c0) (Fq.mul k a.c1)
 
+(* (a0 + a1 u)(9 + u) = (9a0 − a1) + (a0 + 9a1) u, by additions only. *)
+let mul_by_xi a =
+  let nine c = Fq.add (Fq.double (Fq.double (Fq.double c))) c in
+  make (Fq.sub (nine a.c0) a.c1) (Fq.add a.c0 (nine a.c1))
+
 let conj a = make a.c0 (Fq.neg a.c1)
 
 let inv a =

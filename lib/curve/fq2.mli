@@ -26,6 +26,10 @@ val double : t -> t
 val mul : t -> t -> t
 val sqr : t -> t
 val mul_by_fq : Fq.t -> t -> t
+
+(** [mul_by_xi a = mul xi a], computed with additions only. *)
+val mul_by_xi : t -> t
+
 val inv : t -> t
 val div : t -> t -> t
 val pow : t -> Zkvc_num.Bigint.t -> t

@@ -12,6 +12,11 @@ module Cs : module type of Zkvc_r1cs.Constraint_system.Make (Fr)
 
 type proving_key
 
+(** Holds, besides its serialised points, a prepared part derived from
+    them when the key is built (by {!setup} or
+    {!verifying_key_of_bytes_exn}): [e(α, β)] and the Miller-loop line
+    coefficients of [γ] and [δ]. The prepared part is never serialised
+    and is immutable, so one key can serve several domains. *)
 type verifying_key
 
 type proof =
@@ -46,7 +51,9 @@ val setup : Random.State.t -> Qap.t -> proving_key * verifying_key
 val prove : Random.State.t -> proving_key -> Qap.t -> Fr.t array -> proof
 
 (** [verify vk ~public_inputs proof]: public inputs in canonical wire
-    order, excluding the constant-one wire. *)
+    order, excluding the constant-one wire. Three Miller loops — the
+    [γ] and [δ] ones over line coefficients cached in the key — and one
+    final exponentiation, checked against the key's cached [e(α, β)]. *)
 val verify : verifying_key -> public_inputs:Fr.t list -> proof -> bool
 
 (** Verdict of a batched verification. [Batch_malformed] lists the
@@ -60,8 +67,10 @@ type batch_result =
   | Batch_malformed of int list
 
 (** Batch verification of several (public_inputs, proof) pairs under one
-    verifying key: (k + 3) Miller loops and a single final exponentiation
-    instead of k independent 4-pairing checks. Random weights are derived
+    verifying key: (k + 3) Miller loops (the [γ] and [δ] ones over the
+    key's cached lines) and a single final exponentiation instead of k
+    independent checks. The weighted public-input terms fold into one
+    MSM over the key's IC points. Random weights are derived
     by Fiat–Shamir from the statements, so a batch that verifies contains
     only valid proofs (up to soundness error k/|F_r|).
 
@@ -87,7 +96,8 @@ val vk_delta : verifying_key -> Zkvc_curve.G2.t
 val vk_num_inputs : verifying_key -> int
 
 (** [ic_sum vk io = IC_0 + Σ io_i·IC_i] — the public-input term of the
-    verification equation. *)
+    verification equation, as one Pippenger MSM. Raises
+    [Invalid_argument] unless [io] has {!vk_num_inputs} entries. *)
 val ic_sum : verifying_key -> Fr.t list -> Zkvc_curve.G1.t
 
 (** {2 Key wire encodings}

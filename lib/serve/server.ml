@@ -467,8 +467,10 @@ let phases_of_span root =
   let all = List.rev (go [] root) in
   List.filteri (fun i _ -> i < 256) all
 
-(* Send [resp] with a v2 timing block (at the job's own wire version —
-   v1 clients get the plain v1 frame) and push a flight record. *)
+(* Push a flight record, then send [resp] with a v2 timing block (at the
+   job's own wire version — v1 clients get the plain v1 frame). Recording
+   first means a client that has its reply can already see the record in
+   a Status_detail dump. *)
 let finish ?(hot_region = "-") ?outcome t job ~wid ~wait_s ~exec_s ~phases resp =
   let timing =
     Some
@@ -480,7 +482,6 @@ let finish ?(hot_region = "-") ?outcome t job ~wid ~wait_s ~exec_s ~phases resp 
         tm_exec_s = exec_s;
         tm_phases = phases }
   in
-  respond ~version:job.wire_version ?timing job.conn resp;
   Flight.record t.flight
     { fr_request_id = request_id_hex job.trace;
       fr_kind = request_kind job.req;
@@ -492,10 +493,11 @@ let finish ?(hot_region = "-") ?outcome t job ~wid ~wait_s ~exec_s ~phases resp 
       fr_exec_s = exec_s;
       fr_bytes = job.payload_bytes;
       fr_outcome = (match outcome with Some s -> s | None -> outcome_of resp);
-      fr_hot_region = hot_region }
+      fr_hot_region = hot_region };
+  respond ~version:job.wire_version ?timing job.conn resp
 
 (* Run a job end to end: span-wrapped execution, timing extraction,
-   versioned response, flight record. *)
+   flight record, versioned response. *)
 let run_job t ~wid job =
   let wait_s = Span.now () -. job.admit_s in
   let args =

@@ -14,6 +14,14 @@ let check_bool = Alcotest.(check bool)
 
 (* ---------------- extension tower ---------------- *)
 
+(* Fq6 product straight from the definition: nine Fq2 products, v³ = ξ. *)
+let fq6_schoolbook (a : Fq6.t) (b : Fq6.t) =
+  let m = Fq2.mul and ( + ) = Fq2.add in
+  Fq6.make
+    (m a.c0 b.c0 + m Fq2.xi (m a.c1 b.c2 + m a.c2 b.c1))
+    (m a.c0 b.c1 + m a.c1 b.c0 + m Fq2.xi (m a.c2 b.c2))
+    (m a.c0 b.c2 + m a.c1 b.c1 + m a.c2 b.c0)
+
 let tower_tests =
   let t name f = Alcotest.test_case name `Quick f in
   [ t "fq2 field laws" (fun () ->
@@ -78,7 +86,48 @@ let tower_tests =
         let a = Fq12.random st in
         let e1 = B.of_int 12345 and e2 = B.of_int 678 in
         check_bool "a^(e1+e2)" true
-          (Fq12.equal (Fq12.pow a (B.add e1 e2)) (Fq12.mul (Fq12.pow a e1) (Fq12.pow a e2)))) ]
+          (Fq12.equal (Fq12.pow a (B.add e1 e2)) (Fq12.mul (Fq12.pow a e1) (Fq12.pow a e2))));
+    t "fq2 mul_by_xi" (fun () ->
+        for _ = 1 to 20 do
+          let a = Fq2.random st in
+          check_bool "ξ·a" true (Fq2.equal (Fq2.mul_by_xi a) (Fq2.mul Fq2.xi a))
+        done);
+    t "fq6 karatsuba, squaring and sparse product match schoolbook" (fun () ->
+        for _ = 1 to 30 do
+          let a = Fq6.random st and b = Fq6.random st in
+          check_bool "mul" true (Fq6.equal (Fq6.mul a b) (fq6_schoolbook a b));
+          check_bool "sqr" true (Fq6.equal (Fq6.sqr a) (fq6_schoolbook a a));
+          check_bool "mul_by_01" true
+            (Fq6.equal
+               (Fq6.mul_by_01 a b.Fq6.c0 b.Fq6.c1)
+               (fq6_schoolbook a (Fq6.make b.Fq6.c0 b.Fq6.c1 Fq2.zero)))
+        done);
+    t "fq12 sparse line product" (fun () ->
+        for _ = 1 to 20 do
+          let f = Fq12.random st in
+          let a = Fq2.random st and b = Fq2.random st and c = Fq2.random st in
+          let line = Fq12.make (Fq6.of_fq2 a) (Fq6.make b c Fq2.zero) in
+          check_bool "f·(a + bw + cw³)" true
+            (Fq12.equal (Fq12.mul_by_line f a b c) (Fq12.mul f line))
+        done);
+    t "frobenius = pow by q, q², q³" (fun () ->
+        for _ = 1 to 3 do
+          let a = Fq12.random st in
+          List.iter
+            (fun k ->
+              check_bool (Printf.sprintf "a^(q^%d)" k) true
+                (Fq12.equal (Fq12.frobenius ~power:k a) (Fq12.pow a (B.pow Params.q k))))
+            [ 1; 2; 3 ]
+        done);
+    t "cyclotomic squaring = squaring after the easy part" (fun () ->
+        for _ = 1 to 10 do
+          let f = Fq12.random st in
+          (* f^((q⁶−1)(q²+1)) by the definition, without Frobenius *)
+          let e = Fq12.mul (Fq12.pow f (B.pow Params.q 6)) (Fq12.inv f) in
+          let g = Fq12.mul (Fq12.pow e (B.pow Params.q 2)) e in
+          check_bool "cyclotomic" true (Fq12.equal (Fq12.cyclotomic_sqr g) (Fq12.sqr g));
+          check_bool "conj = inverse" true (Fq12.is_one (Fq12.mul g (Fq12.conj g)))
+        done) ]
 
 (* ---------------- groups ---------------- *)
 
@@ -188,7 +237,50 @@ let pairing_tests =
     Alcotest.test_case "multi-pairing cancellation" `Quick (fun () ->
         let p = G1.random st and q = G2.random st in
         let prod = Pairing.multi_pairing [ (p, q); (G1.neg p, q) ] in
-        check_bool "e(P,Q)·e(-P,Q) = 1" true (Fq12.is_one prod)) ]
+        check_bool "e(P,Q)·e(-P,Q) = 1" true (Fq12.is_one prod));
+    Alcotest.test_case "final exponentiation = pow by (q¹²−1)/r" `Quick (fun () ->
+        for _ = 1 to 3 do
+          let f = Fq12.random st in
+          check_bool "fast = generic" true
+            (Fq12.equal (Pairing.final_exponentiation f) (Tate_oracle.final_exponentiation f))
+        done);
+    Alcotest.test_case "optimal ate = Tate(Q,P)^e_o" `Quick (fun () ->
+        let p = G1.random st and q = G2.random st in
+        check_bool "e(P,Q) = t(Q,P)^e_o" true
+          (Fq12.equal (e p q) (Fq12.pow (Tate_oracle.pairing_g2_first p q) Tate_oracle.ate_exponent)));
+    Alcotest.test_case "same verdicts as the Tate oracle" `Slow (fun () ->
+        (* relations Σ a_i·b_i = 0 over pairs (a_i·G1, b_i·G2), and the same
+           with one coefficient bumped *)
+        for trial = 1 to 3 do
+          let n = 1 + trial in
+          let a = List.init n (fun _ -> Fr.random st) in
+          let b = List.init (n - 1) (fun _ -> Fr.random st) in
+          let dot = List.fold_left2 (fun acc x y -> Fr.add acc (Fr.mul x y)) Fr.zero (List.tl a) b in
+          (* b_0 = −dot / a_0 closes the relation *)
+          let b0 = Fr.neg (Fr.div dot (List.hd a)) in
+          let pairs bs =
+            List.map2 (fun x y -> (G1.mul_fr G1.generator x, G2.mul_fr G2.generator y)) a bs
+          in
+          let good = pairs (b0 :: b) and bad = pairs (Fr.add b0 Fr.one :: b) in
+          List.iter
+            (fun (name, ps, expect) ->
+              check_bool (name ^ " fast") expect (Fq12.is_one (Pairing.multi_pairing ps));
+              check_bool (name ^ " oracle") expect (Fq12.is_one (Tate_oracle.multi_pairing ps)))
+            [ (Printf.sprintf "relation n=%d" n, good, true);
+              (Printf.sprintf "non-relation n=%d" n, bad, false) ]
+        done);
+    Alcotest.test_case "prepared Miller loop skips identity slots" `Quick (fun () ->
+        let p = G1.random st and q = G2.random st in
+        let pairs =
+          [ (p, Pairing.prepare_g2 q); (G1.zero, Pairing.prepare_g2 q);
+            (p, Pairing.prepare_g2 G2.zero) ]
+        in
+        check_bool "O slots contribute 1" true
+          (Fq12.equal
+             (Pairing.final_exponentiation (Pairing.multi_miller_loop pairs))
+             (e p q));
+        check_bool "empty product" true
+          (Fq12.is_one (Pairing.final_exponentiation (Pairing.multi_miller_loop [])))) ]
 
 let () =
   Alcotest.run "zkvc_curve"

@@ -78,6 +78,22 @@ let qap_tests =
 
 (* ---------------- Groth16 end-to-end ---------------- *)
 
+(* The multi-input statement of "multi-input circuit" under its own seed:
+   public x = 3, y = 8, z = 50; witness w = 2 with (x + w)(y + w) = z. *)
+let seeded_statement () =
+  let st = Random.State.make [| 0x16; 2026 |] in
+  let bld = Bld.create () in
+  let x = Bld.alloc_input bld (Fr.of_int 3) in
+  let y = Bld.alloc_input bld (Fr.of_int 8) in
+  let w = Bld.alloc bld (Fr.of_int 2) in
+  let prod = G.mul bld (L.add (L.of_var x) (L.of_var w)) (L.add (L.of_var y) (L.of_var w)) in
+  let z = Bld.alloc_input bld (Bld.value bld prod) in
+  G.assert_equal bld (L.of_var z) (L.of_var prod);
+  let cs, assignment = Bld.finalize bld in
+  let qap = Qap.create cs in
+  let pk, vk = Groth16.setup st qap in
+  (pk, vk, Groth16.prove st pk qap assignment, [ Fr.of_int 3; Fr.of_int 8; Fr.of_int 50 ])
+
 let groth16_tests =
   [ Alcotest.test_case "complete (prove/verify roundtrip)" `Slow (fun () ->
         let b, out = cubic_circuit 3 in
@@ -138,7 +154,39 @@ let groth16_tests =
         check_bool "verifies with (3,8,50)" true
           (Groth16.verify vk ~public_inputs:[ Fr.of_int 3; Fr.of_int 8; Fr.of_int 50 ] proof);
         check_bool "rejected with (3,8,51)" false
-          (Groth16.verify vk ~public_inputs:[ Fr.of_int 3; Fr.of_int 8; Fr.of_int 51 ] proof)) ]
+          (Groth16.verify vk ~public_inputs:[ Fr.of_int 3; Fr.of_int 8; Fr.of_int 51 ] proof));
+    Alcotest.test_case "golden proof and key bytes" `Slow (fun () ->
+        (* Setup, prove and the key format must not drift: these digests
+           were taken from the implementation before the optimal-ate
+           verifier, for one seeded statement. *)
+        let _, vk, proof, _ = seeded_statement () in
+        let sha b = Zkvc_hash.Sha256.(to_hex (digest b)) in
+        Alcotest.(check string) "proof bytes"
+          "1d1fbd54ecb3ecf086eb30b9e1142218965c240004971cc5917b5bb5f11acb44" (sha (Groth16.proof_to_bytes proof));
+        Alcotest.(check string) "verifying key bytes"
+          "572b949b8264ac8a5946aa5bc272d3d95267e5c3176149246e9c92f9f51aea5e" (sha (Groth16.verifying_key_to_bytes vk)));
+    Alcotest.test_case "prepared key = unprepared 4-pair check" `Slow (fun () ->
+        let module Pairing = Zkvc_curve.Pairing in
+        let module Fq12 = Zkvc_curve.Fq12 in
+        let _, vk, proof, io = seeded_statement () in
+        let vk' = Groth16.verifying_key_of_bytes_exn (Groth16.verifying_key_to_bytes vk) in
+        let unprepared (p : Groth16.proof) =
+          Fq12.is_one
+            (Pairing.multi_pairing
+               [ (G1.neg p.a, p.b);
+                 (Groth16.vk_alpha vk, Groth16.vk_beta vk);
+                 (Groth16.ic_sum vk io, Groth16.vk_gamma vk);
+                 (p.c, Groth16.vk_delta vk) ])
+        in
+        let agree name p expect =
+          check_bool (name ^ " unprepared") expect (unprepared p);
+          check_bool (name ^ " prepared") expect (Groth16.verify vk ~public_inputs:io p);
+          check_bool (name ^ " decoded key") expect (Groth16.verify vk' ~public_inputs:io p)
+        in
+        agree "honest" proof true;
+        List.iter
+          (fun site -> agree (Groth16.Mutate.site_name site) (Groth16.Mutate.apply site proof) false)
+          Groth16.Mutate.all) ]
 
 let batch_tests =
   [ Alcotest.test_case "batch verification" `Slow (fun () ->

@@ -254,9 +254,12 @@ let setup st qap =
         make_vk ~alpha_g1:pk.alpha_g1 ~beta_g2:pk.beta_g2 ~gamma_g2 ~delta_g2:pk.delta_g2 ~ic)
   in
   (* setup's temporaries (fixed-base tables, per-wire evaluations) are
-     dead now; compacting keeps the long-lived keys out of a heap sized
-     for them *)
-  Gc.compact ();
+     dead now. Whether OCaml 5.1's collector frees them before the
+     caller's prove/verify phase depends on where its cycle stands, and a
+     heap left large by them paces later cycles slower, so prover garbage
+     piles up as well; one full collection here removes that dependence
+     (DESIGN substitution 1, Memory). *)
+  Gc.full_major ();
   (pk, vk)
 
 (* The per-phase spans below mirror the paper's prover cost model: one
@@ -348,24 +351,16 @@ let verify_batch vk instances =
         T.absorb_bytes tr ~label:"proof" (proof_to_bytes proof))
       instances;
     let weighted = List.map (fun inst -> (Ch.challenge tr ~label:"z", inst)) instances in
-    let alpha_scale = List.fold_left (fun acc (z, _) -> Fr.add acc z) Fr.zero weighted in
-    (* Σ z_i·ic_sum(io_i) as one MSM over vk_ic: IC_0 gets Σ z_i and IC_j
-       gets Σ z_i·io_ij *)
-    let ic_scalars = Array.make (expected + 1) Fr.zero in
-    ic_scalars.(0) <- alpha_scale;
-    List.iter
-      (fun (z, (io, _)) ->
-        List.iteri (fun j x -> ic_scalars.(j + 1) <- Fr.add ic_scalars.(j + 1) (Fr.mul z x)) io)
-      weighted;
-    let c_sum =
-      List.fold_left (fun acc (z, (_, proof)) -> G1.add acc (G1.mul_fr proof.c z)) G1.zero weighted
+    let sum_g1 f =
+      List.fold_left (fun acc (z, inst) -> G1.add acc (G1.mul_fr (f inst) z)) G1.zero weighted
     in
+    let alpha_scale = List.fold_left (fun acc (z, _) -> Fr.add acc z) Fr.zero weighted in
     let prepared (p, q) = (p, Pairing.prepare_g2 q) in
     let pairs =
       List.map (fun (z, (_, proof)) -> prepared (G1.neg (G1.mul_fr proof.a z), proof.b)) weighted
       @ [ prepared (G1.mul_fr vk.vk_alpha_g1 alpha_scale, vk.vk_beta_g2);
-          (Msm_g1.msm vk.vk_ic ic_scalars, vk.vk_gamma_lines);
-          (c_sum, vk.vk_delta_lines) ]
+          (sum_g1 (fun (io, _) -> ic_sum vk io), vk.vk_gamma_lines);
+          (sum_g1 (fun (_, proof) -> proof.c), vk.vk_delta_lines) ]
     in
     if Fq12.is_one (Pairing.final_exponentiation (Pairing.multi_miller_loop pairs)) then
       Batch_accepted
@@ -379,26 +374,14 @@ let verify vk ~public_inputs proof =
        e(alpha,beta) and the gamma/delta lines taken from the key: three
        Miller loops (two with cached lines) and one final exponentiation *)
     let ic = Span.with_span "verify.ic_sum" (fun () -> ic_sum vk public_inputs) in
-    let ok =
-      Span.with_span "verify.pairing" (fun () ->
-          let m =
-            Pairing.multi_miller_loop
-              [ (G1.neg proof.a, Pairing.prepare_g2 proof.b);
-                (ic, vk.vk_gamma_lines);
-                (proof.c, vk.vk_delta_lines) ]
-          in
-          Fq12.is_one (Fq12.mul (Pairing.final_exponentiation m) vk.vk_alpha_beta))
-    in
-    (* A bounded slice of major-GC work (~2M words, a few ms).
-       Verification is typically interleaved with proving, and each proof
-       leaves ~0.4M words of major-heap garbage. The old verifier's
-       allocation paced OCaml 5.1's collector to finish a cycle per
-       proof; without this slice the garbage of ~4 proofs piled up
-       instead, raising the peak RSS of the Groth16 benchmark's
-       prove/verify loop from ~26 to ~33 MB (2-core host). Unlike
-       [Gc.major ()], the cost does not grow with the live heap. *)
-    ignore (Gc.major_slice 2_000_000);
-    ok
+    Span.with_span "verify.pairing" (fun () ->
+        let m =
+          Pairing.multi_miller_loop
+            [ (G1.neg proof.a, Pairing.prepare_g2 proof.b);
+              (ic, vk.vk_gamma_lines);
+              (proof.c, vk.vk_delta_lines) ]
+        in
+        Fq12.is_one (Fq12.mul (Pairing.final_exponentiation m) vk.vk_alpha_beta))
   end
 
 (* Fault-injection sites for the adversary harness (lib/adversary): each

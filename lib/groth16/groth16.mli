@@ -69,10 +69,9 @@ type batch_result =
 (** Batch verification of several (public_inputs, proof) pairs under one
     verifying key: (k + 3) Miller loops (the [γ] and [δ] ones over the
     key's cached lines) and a single final exponentiation instead of k
-    independent checks. The weighted public-input terms fold into one
-    MSM over the key's IC points. Random weights are derived
-    by Fiat–Shamir from the statements, so a batch that verifies contains
-    only valid proofs (up to soundness error k/|F_r|).
+    independent checks. Random weights are derived by Fiat–Shamir from
+    the statements, so a batch that verifies contains only valid proofs
+    (up to soundness error k/|F_r|).
 
     Raises [Invalid_argument] on an empty batch: there is no sound
     verdict for zero instances, and the previous behaviour (vacuous

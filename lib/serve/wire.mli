@@ -238,7 +238,10 @@ val decode_key_file : Bytes.t -> (key_file, error) result
 (** One SnarkPack-style aggregate proof ({!Zkvc_groth16.Aggregate}) plus
     the statements it covers — verifiable with the matching key file and
     the aggregation SRS (re-derived from its seed). Groth16-only: the
-    aggregation protocol is specific to the pairing-based verifier. *)
+    aggregation protocol is specific to the pairing-based verifier.
+    The file carries its own version byte, tied to the pairing whose
+    values it stores: files written under the earlier Tate pairing
+    (versions 1–3) decode to [Error (Unsupported_version v)]. *)
 type aggregate_file =
   { af_key_id : string;
     af_statements : Fr.t list list;  (** per-instance public inputs, in order *)

@@ -1,99 +1,25 @@
 (* Slow reference pairing for the tests: the reduced Tate pairing
-   t(P, Q) = f_{r,P}(ψ(Q))^((q¹²−1)/r) with a plain affine Miller loop over
-   the 254 bits of r (one Fq inversion per step) and the final
+   t(Q, P) = f_{r,Q}(P)^((q¹²−1)/r) with a plain affine Miller loop over
+   the 254 bits of r (one Fq2 inversion per step) and the final
    exponentiation as one generic Fq12.pow. It shares no code with
    Zkvc_curve.Pairing beyond the field tower and the curve groups, so the
    fast optimal-ate pairing is checked against an independent
    construction. *)
 
-module Fq = Zkvc_field.Fq
-module Bigint = Zkvc_num.Bigint
 module Fq2 = Zkvc_curve.Fq2
 module Fq6 = Zkvc_curve.Fq6
 module Fq12 = Zkvc_curve.Fq12
 module G1 = Zkvc_curve.G1
 module G2 = Zkvc_curve.G2
+module Bigint = Zkvc_num.Bigint
 module Bn_params = Zkvc_curve.Bn_params
 
-(* Line value λ·x_Q − y_Q + c at the untwisted point (x'w², y'w³), with
-   λ, c ∈ Fq: sparse, assembled without full multiplications. *)
-let line_value ~lambda ~c ~xq ~yq =
-  Fq12.make
-    (Fq6.make (Fq2.of_fq c) (Fq2.mul_by_fq lambda xq) Fq2.zero)
-    (Fq6.make Fq2.zero (Fq2.neg yq) Fq2.zero)
-
-(* T runs through multiples of the G1 point. We use the negated line
-   λx − y + c, which differs from the textbook one by a factor −1 ∈ Fq;
-   vertical lines are dropped (denominator elimination). The final
-   exponentiation kills both. *)
+(* T runs through multiples of Q on the twist, and the line through T
+   with slope λ' is evaluated at P as y_P − λ'x_P·w + (λ'x_T − y_T)·w³.
+   Vertical lines are dropped (denominator elimination); the final
+   exponentiation kills them. After the loop T = r·Q = O, consumed by the
+   final vertical line. *)
 let miller_loop p q =
-  if G1.is_zero p || G2.is_zero q then Fq12.one
-  else begin
-    let px, py = match G1.to_affine p with Some a -> a | None -> assert false in
-    let qx, qy = match G2.to_affine q with Some a -> a | None -> assert false in
-    let f = ref Fq12.one in
-    let tx = ref px and ty = ref py and t_inf = ref false in
-    let line lambda =
-      let c = Fq.sub !ty (Fq.mul lambda !tx) in
-      f := Fq12.mul !f (line_value ~lambda ~c ~xq:qx ~yq:qy)
-    in
-    let tangent_step () =
-      (* λ = 3 tx² / 2 ty; ty ≠ 0 because T has odd prime order *)
-      let lambda = Fq.div (Fq.mul (Fq.of_int 3) (Fq.sqr !tx)) (Fq.double !ty) in
-      line lambda;
-      let x3 = Fq.sub (Fq.sqr lambda) (Fq.double !tx) in
-      let y3 = Fq.sub (Fq.mul lambda (Fq.sub !tx x3)) !ty in
-      tx := x3;
-      ty := y3
-    in
-    let addition_step () =
-      if !t_inf then begin
-        tx := px; ty := py; t_inf := false
-      end
-      else if Fq.equal !tx px then begin
-        if Fq.equal !ty py then tangent_step ()
-        else t_inf := true (* vertical line: factor eliminated *)
-      end
-      else begin
-        let lambda = Fq.div (Fq.sub py !ty) (Fq.sub px !tx) in
-        line lambda;
-        let x3 = Fq.sub (Fq.sub (Fq.sqr lambda) !tx) px in
-        let y3 = Fq.sub (Fq.mul lambda (Fq.sub !tx x3)) !ty in
-        tx := x3;
-        ty := y3
-      end
-    in
-    let r = Bn_params.r in
-    for i = Bigint.num_bits r - 2 downto 0 do
-      f := Fq12.sqr !f;
-      if not !t_inf then tangent_step ();
-      if Bigint.bit r i then addition_step ()
-    done;
-    (* after the loop T = r·P = O, consumed by the final vertical line *)
-    assert !t_inf;
-    !f
-  end
-
-(* (q¹² − 1)/r, exactly *)
-let final_exp_exponent =
-  let num = Bigint.sub (Bigint.pow Bn_params.q 12) Bigint.one in
-  let e, rem = Bigint.divmod num Bn_params.r in
-  assert (Bigint.is_zero rem);
-  e
-
-let final_exponentiation f = Fq12.pow f final_exp_exponent
-
-let pairing p q = final_exponentiation (miller_loop p q)
-
-let multi_pairing pairs =
-  final_exponentiation
-    (List.fold_left (fun acc (p, q) -> Fq12.mul acc (miller_loop p q)) Fq12.one pairs)
-
-(* The reduced Tate pairing with the arguments the other way round,
-   t(Q, P) = f_{r,Q}(P)^((q¹²−1)/r): T runs through multiples of Q on the
-   twist (affine, one Fq2 inversion per step), and the line through T
-   with slope λ' is evaluated at P as y_P − λ'x_P·w + (λ'x_T − y_T)·w³. *)
-let miller_loop_g2_first p q =
   if G1.is_zero p || G2.is_zero q then Fq12.one
   else begin
     let xp, yp = match G1.to_affine p with Some a -> a | None -> assert false in
@@ -136,7 +62,21 @@ let miller_loop_g2_first p q =
     !f
   end
 
-let pairing_g2_first p q = final_exponentiation (miller_loop_g2_first p q)
+(* (q¹² − 1)/r, exactly *)
+let final_exp_exponent =
+  let num = Bigint.sub (Bigint.pow Bn_params.q 12) Bigint.one in
+  let e, rem = Bigint.divmod num Bn_params.r in
+  assert (Bigint.is_zero rem);
+  e
+
+let final_exponentiation f = Fq12.pow f final_exp_exponent
+
+(* t(Q, P) *)
+let pairing p q = final_exponentiation (miller_loop p q)
+
+let multi_pairing pairs =
+  final_exponentiation
+    (List.fold_left (fun acc (p, q) -> Fq12.mul acc (miller_loop p q)) Fq12.one pairs)
 
 (* The optimal ate pairing a(Q, P) equals t(Q, P)^e_o (Vercauteren,
    "Optimal pairings", with the ate-to-Tate relation of Hess–Smart–

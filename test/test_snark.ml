@@ -349,6 +349,30 @@ let aggregate_tests =
            with
           | exception Invalid_argument _ -> true
           | _ -> false));
+    Alcotest.test_case "aggregate file: Tate-era versions refused" `Slow (fun () ->
+        let module Wire = Zkvc_serve.Wire in
+        let vk, srs, instances = Lazy.force setup_once in
+        let agg = Aggregate.aggregate srs vk instances in
+        let ios = List.map fst instances in
+        let bytes =
+          Wire.encode_aggregate_file
+            { Wire.af_key_id = String.make 32 'k'; af_statements = ios; af_proof = agg }
+        in
+        (match Wire.decode_aggregate_file bytes with
+         | Ok af ->
+           check_bool "decoded aggregate verifies" true
+             (Aggregate.verify_aggregate srs vk af.Wire.af_statements af.Wire.af_proof)
+         | Error e -> Alcotest.fail (Wire.error_to_string e));
+        (* byte 4, after the magic, is the version *)
+        List.iter
+          (fun v ->
+            let old = Bytes.copy bytes in
+            Bytes.set old 4 (Char.chr v);
+            check_bool
+              (Printf.sprintf "version %d refused" v)
+              true
+              (Wire.decode_aggregate_file old = Error (Wire.Unsupported_version v)))
+          [ 1; 2; 3 ]);
     Alcotest.test_case "every mutation site rejected" `Slow (fun () ->
         let vk, srs, instances = Lazy.force setup_once in
         let insts = List.filteri (fun i _ -> i < 4) instances in

@@ -168,7 +168,7 @@ let () =
 let enabled section = !only = [] || List.mem section !only
 
 (* ------------------------------------------------------------------ *)
-(* machine-readable report (Zkvc_obs.Report, schema zkvc-bench/2)       *)
+(* machine-readable report (Zkvc_obs.Report, schema zkvc-bench/3)       *)
 
 (* Commit of the measured tree, read straight from .git so the bench
    needs no subprocess: HEAD is either a detached sha or a symref into

@@ -752,7 +752,6 @@ let verify_cmd =
       let path =
         match o.Batch.path with
         | Batch.Batched -> "batched"
-        | Batch.Aggregated -> "aggregated"
         | Batch.Fallback -> "fallback"
         | Batch.Per_item -> "per-item"
       in
@@ -962,15 +961,8 @@ let serve_cmd =
              ~doc:"Dump the flight recorder (JSON lines) here when the worker \
                    drains or crashes.")
   in
-  let batch_aggregate_arg =
-    Arg.(value & flag
-         & info [ "batch-aggregate" ]
-             ~doc:"Verify homogeneous Groth16 batches by SnarkPack-style \
-                   aggregation (one short aggregate proof checked instead of \
-                   the weighted multi-pairing).")
-  in
   let run socket queue cache cache_dir workers jobs trace metrics job_delay
-      metrics_file metrics_interval flight flight_file optimize batch_aggregate =
+      metrics_file metrics_interval flight flight_file optimize =
     let cfg =
       { Server.socket_path = socket;
         queue_capacity = queue;
@@ -985,8 +977,7 @@ let serve_cmd =
         metrics_interval_s = metrics_interval;
         flight_capacity = flight;
         flight_file;
-        optimize = opt_of_flag optimize;
-        batch_aggregate }
+        optimize = opt_of_flag optimize }
     in
     if cfg.Server.observe then begin
       Obs.Span.reset ();
@@ -1019,7 +1010,7 @@ let serve_cmd =
     Term.(const run $ socket_arg $ queue_arg $ cache_arg $ cache_dir_arg
           $ workers_arg $ jobs_arg $ trace_arg $ metrics_arg $ job_delay_arg
           $ metrics_file_arg $ metrics_interval_arg $ flight_arg $ flight_file_arg
-          $ optimize_arg $ batch_aggregate_arg)
+          $ optimize_arg)
 
 (* ---- client ---- *)
 
@@ -1209,6 +1200,10 @@ let client_verify_cmd =
                          pfs;
                      deadline_ms })
             with
+            | Error (Wire.Malformed _ as e) ->
+              (* e.g. a Batch_ok whose length differs from the batch sent *)
+              Printf.eprintf "zkvc_cli: bad reply: %s\n" (Wire.error_to_string e);
+              2
             | Error e -> client_transport_fail e
             | Ok (Wire.Error { code; message }) -> client_fail code message
             | Ok (Wire.Batch_ok verdicts) ->

@@ -381,7 +381,6 @@ let batch_cases col fx =
   let honest = Batch.verify_each fx.keys members in
   let path_name = function
     | Batch.Batched -> "batched"
-    | Batch.Aggregated -> "aggregated"
     | Batch.Fallback -> "fallback"
     | Batch.Per_item -> "per-item"
   in
@@ -610,11 +609,11 @@ let wire_cases col fx =
             proof = fx.proof;
             deadline_ms = 0 } )
   in
-  (* shared classifier for verify-request frames at either wire version:
-     a flip must yield a typed decode error, a changed descriptor, a
-     [false] verdict, or leave the statement untouched — never an
-     accepted forgery. Flips in the v2 trace block only alter telemetry,
-     so they land in the unchanged-statement (benign) bucket. *)
+  (* classifier for verify-request frames: a flip must yield a typed
+     decode error, a changed descriptor, a [false] verdict, or leave the
+     statement untouched — never an accepted forgery. Flips in the trace
+     block only alter telemetry, so they land in the unchanged-statement
+     (benign) bucket. *)
   let classify_verify_frame b =
     let honest_proof = proof_bytes fx.proof in
     match Wire.decode_frame b with
@@ -637,15 +636,6 @@ let wire_cases col fx =
   emit col "wire" "frame-bitflip" (fun () ->
       let bytes = Wire.encode_frame verify_request in
       flip_sweep ~rng:(stream fx.t 10) ~flips:48 bytes classify_verify_frame);
-  emit col "wire" "frame-bitflip-v1" (fun () ->
-      (* the legacy encodings must fail just as closed; in particular no
-         single-bit flip of a version byte reaches another accepted
-         version *)
-      let bytes = Wire.encode_frame ~version:1 verify_request in
-      flip_sweep ~rng:(stream fx.t 11) ~flips:48 bytes classify_verify_frame);
-  emit col "wire" "frame-bitflip-v2" (fun () ->
-      let bytes = Wire.encode_frame ~version:2 verify_request in
-      flip_sweep ~rng:(stream fx.t 14) ~flips:48 bytes classify_verify_frame);
   emit col "wire" "batch-frame-bitflip" (fun () ->
       (* a two-member [Batch_verify] request frame: every flip must end in
          a typed decode error, a changed key id, a refused (empty/oversized)

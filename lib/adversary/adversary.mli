@@ -44,8 +44,8 @@
       an otherwise honest aggregation, a wrong-seed SRS, and bit flips
       over the aggregate-file codec;
     - [wire] — bit-flipped proof files, key files and request/response
-      frames (at both wire versions, including v2 trace/timing blocks,
-      the [Status_detail] operation and [Batch_verify] requests) pushed
+      frames (including trace/timing blocks, the [Status_detail]
+      operation and [Batch_verify] requests) pushed
       through the {!Zkvc_serve.Wire} codecs: every flip must end in a
       typed decode error, a descriptor/key-id mismatch, a refused batch,
       a [false] verdict or an unchanged statement — never [true] on a

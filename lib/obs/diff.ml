@@ -65,8 +65,7 @@ let compare_one ~threshold ~k ~floor_s ~check_time (o : Report.measurement)
   (* Per-region structural counts are deterministic exactly like the
      global ledger, so they gate the same way — and a drift note names
      the owning region, localising the regression. Skipped when either
-     side lacks a region tree (zkvc-bench/2 baselines, non-profiled
-     runs). *)
+     side lacks a region tree (non-profiled runs). *)
   let region_drift =
     match (o.Report.regions, n.Report.regions) with
     | Some ot, Some nt ->

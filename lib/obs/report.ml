@@ -5,13 +5,10 @@
    explicitly; unknown fields are rejected nowhere (forward-compatible
    readers skip them) but missing fields are an error.
 
-   Schema history: zkvc-bench/2 (PR 3) is the ledger format; zkvc-bench/3
-   adds an optional per-measurement "regions" provenance tree. v2 files
-   are still read (regions = None) so committed baselines keep
-   comparing. *)
+   Schema zkvc-bench/3 carries an optional per-measurement "regions"
+   provenance tree; reports of any other schema are refused. *)
 
 let schema = "zkvc-bench/3"
-let schema_v2 = "zkvc-bench/2"
 
 type env =
   { git_rev : string;
@@ -226,11 +223,8 @@ let measurement_of_json v =
 let of_json v =
   match
     let s = get_string "schema" v in
-    if s <> schema && s <> schema_v2 then
-      raise
-        (Bad
-           (Printf.sprintf "unsupported schema %S (this reader understands %S and %S)" s schema
-              schema_v2));
+    if s <> schema then
+      raise (Bad (Printf.sprintf "unsupported schema %S (this reader understands %S)" s schema));
     { env = env_of_json (field "env" v);
       sections =
         List.map

@@ -15,14 +15,9 @@
 
 (** Current schema identifier, ["zkvc-bench/3"]: version 2 plus an
     optional per-measurement ["regions"] constraint-provenance tree.
-    Version 1 (PR 1's ad-hoc bench dump, never committed) is not
-    readable. *)
+    It is the only schema {!of_json} reads; earlier versions are
+    refused. *)
 val schema : string
-
-(** ["zkvc-bench/2"], still accepted by {!of_json} — committed baselines
-    parse with [regions = None], so region-free comparisons keep
-    working. Writers always emit {!schema}. *)
-val schema_v2 : string
 
 type env =
   { git_rev : string;  (** commit of the measured tree, or ["unknown"] *)
@@ -75,7 +70,7 @@ type measurement =
     ledger : ledger;
     regions : Attrib.t option
         (** constraint-provenance tree ([bench --profile] /
-            [zkvc_cli profile]); [None] in zkvc-bench/2 files *) }
+            [zkvc_cli profile]); [None] for non-profiled runs *) }
 
 type t =
   { env : env;

@@ -1,10 +1,9 @@
 module Fr = Zkvc_field.Fr
 module Api = Zkvc.Api
 module Groth16 = Zkvc_groth16.Groth16
-module Aggregate = Zkvc_groth16.Aggregate
 module Spartan = Zkvc_spartan.Spartan
 
-type path = Batched | Aggregated | Fallback | Per_item
+type path = Batched | Fallback | Per_item
 
 type outcome =
   { verdicts : bool list;
@@ -18,7 +17,7 @@ let verify_one keys (io, proof) =
 
 let all_true items = List.map (fun _ -> true) items
 
-let verify_each ?aggregate_srs keys items =
+let verify_each keys items =
   if items = [] then invalid_arg "Batch.verify_each: empty batch";
   let per_item path malformed =
     { verdicts = List.map (verify_one keys) items; path; malformed }
@@ -32,32 +31,13 @@ let verify_each ?aggregate_srs keys items =
     in
     match groth with
     | _ :: _ :: _ when List.length groth = List.length items -> (
-      let aggregated =
-        (* opt-in alternative fast path: compress the group into one
-           SnarkPack aggregate and check that. Arity faults are
-           pre-screened (aggregation raises on them) so they stay
-           attributable; batches beyond the SRS take the plain path. *)
-        match aggregate_srs with
-        | Some srs when List.length groth <= Aggregate.max_proofs srs -> (
-          let expected = Groth16.vk_num_inputs vk in
-          if List.exists (fun (io, _) -> List.length io <> expected) groth then None
-          else
-            let agg = Aggregate.aggregate srs vk groth in
-            Some (Aggregate.verify_aggregate srs vk (List.map fst groth) agg))
-        | _ -> None
-      in
-      match aggregated with
-      | Some true -> { verdicts = all_true items; path = Aggregated; malformed = [] }
-      | Some false -> per_item Fallback []
-      | None -> (
-        match Groth16.verify_batch vk groth with
-        | Groth16.Batch_accepted ->
-          { verdicts = all_true items; path = Batched; malformed = [] }
-        | Groth16.Batch_rejected ->
-          (* one bad apple: fall back to per-item verdicts so honest
-             members of the batch still pass *)
-          per_item Fallback []
-        | Groth16.Batch_malformed bad -> per_item Fallback bad))
+      match Groth16.verify_batch vk groth with
+      | Groth16.Batch_accepted -> { verdicts = all_true items; path = Batched; malformed = [] }
+      | Groth16.Batch_rejected ->
+        (* one bad apple: fall back to per-item verdicts so honest
+           members of the batch still pass *)
+        per_item Fallback []
+      | Groth16.Batch_malformed bad -> per_item Fallback bad)
     | _ -> per_item Per_item [])
   | Api.Spartan_keys { inst; key } -> (
     let sp =

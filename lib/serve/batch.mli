@@ -1,5 +1,5 @@
-(** Server-side batch verification. Coalesced verify requests against one
-    key take the backend's batched fast path — [Groth16.verify_batch]
+(** Server-side batch verification. The members of one [Batch_verify]
+    request take the backend's batched fast path — [Groth16.verify_batch]
     (one multi-pairing for the whole group) or [Spartan.verify_batch]
     (one shared opening MSM) — and if the batched check fails, each item
     is re-verified alone so honest proofs in a batch with one corrupted
@@ -9,13 +9,12 @@ module Fr = Zkvc_field.Fr
 module Api = Zkvc.Api
 
 (** How the verdicts were decided. [Batched]: the fast path accepted the
-    whole group in one combined check. [Aggregated]: the group was
-    compressed into one SnarkPack aggregate proof and that verified.
-    [Fallback]: the fast path ran and rejected (or flagged malformed
-    members), so every item was re-verified individually. [Per_item]:
-    the fast path never applied (singleton group, or proofs not
-    homogeneous with the key's backend). *)
-type path = Batched | Aggregated | Fallback | Per_item
+    whole group in one combined check. [Fallback]: the fast path ran and
+    rejected (or flagged malformed members), so every item was
+    re-verified individually. [Per_item]: the fast path never applied
+    (singleton group, or proofs not homogeneous with the key's
+    backend). *)
+type path = Batched | Fallback | Per_item
 
 type outcome =
   { verdicts : bool list;  (** one per item, in order *)
@@ -27,15 +26,7 @@ type outcome =
 
 (** [verify_each keys items]: batches of two or more homogeneous proofs
     take the fast path; mixed or singleton groups verify per item.
-    With [?aggregate_srs], homogeneous Groth16 groups that fit the SRS
-    are instead compressed into one SnarkPack aggregate
-    ({!Zkvc_groth16.Aggregate}) and that single proof is checked —
-    exercising the aggregation pipeline end to end on served traffic.
     Raises [Invalid_argument] on an empty list — zero instances have no
     sound verdict, and callers must not let a dropped-to-empty batch
     "verify". *)
-val verify_each :
-  ?aggregate_srs:Zkvc_groth16.Aggregate.srs ->
-  Api.keys ->
-  (Fr.t list * Api.proof) list ->
-  outcome
+val verify_each : Api.keys -> (Fr.t list * Api.proof) list -> outcome

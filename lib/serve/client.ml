@@ -71,6 +71,18 @@ let stitch ~t_send ~t_recv (tm : Wire.timing) =
         ~domain:server_track ())
     tm.Wire.tm_phases
 
+(* The reply comes from outside the program: a [Batch_ok] that does not
+   hold exactly one verdict per member sent is malformed, not a verdict. *)
+let check_reply req resp =
+  match (req, resp) with
+  | Wire.Batch_verify { items; _ }, Wire.Batch_ok verdicts
+    when List.length verdicts <> List.length items ->
+    Error
+      (Wire.Malformed
+         (Printf.sprintf "Batch_ok holds %d verdicts for %d members"
+            (List.length verdicts) (List.length items)))
+  | _ -> Ok resp
+
 let request t req : (Wire.response, Wire.error) result =
   let request_id = fresh_request_id () in
   t.last_request_id <- Some request_id;
@@ -86,7 +98,7 @@ let request t req : (Wire.response, Wire.error) result =
       (match timing with
        | Some tm when Span.recording () -> stitch ~t_send ~t_recv tm
        | _ -> ());
-      Ok resp
+      check_reply req resp
     | Ok (Wire.Request _) -> Error (Wire.Malformed "server sent a request frame")
     | Error e -> Error e
   in

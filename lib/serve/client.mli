@@ -1,7 +1,7 @@
 (** Blocking client for the proof service: one connection, synchronous
     request/response frames. Not thread-safe — use one [t] per thread.
 
-    Every request is sent as a wire-v2 frame carrying a fresh 16-byte
+    Every request is sent with a trace block carrying a fresh 16-byte
     request id (see {!last_request_id}). When the [Zkvc_obs] sink is
     enabled, each request is recorded as a [client.request] span tagged
     with that id, and the server's returned timing block is stitched
@@ -20,8 +20,9 @@ val connect : ?origin:string -> string -> t
 val close : t -> unit
 
 (** Send one request and block for the matching response. [Error] is a
-    transport/framing failure; a server-side failure arrives as
-    [Ok (Error _)] (a {!Wire.response}). *)
+    transport/framing failure, or [Malformed] for a [Batch_ok] whose
+    verdict count differs from the number of members sent; a server-side
+    failure arrives as [Ok (Error _)] (a {!Wire.response}). *)
 val request : t -> Wire.request -> (Wire.response, Wire.error) result
 
 (** [request] but transport errors and server [Error] responses raise

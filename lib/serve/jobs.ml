@@ -105,12 +105,6 @@ let bump_depth t lane d =
    | Lane_prove -> t.depth_prove <- t.depth_prove + d);
   note_depth t
 
-let ring_remove r cid =
-  let keep = Queue.create () in
-  Queue.iter (fun x -> if x <> cid then Queue.push x keep) r;
-  Queue.clear r;
-  Queue.transfer keep r
-
 let client_of t cid =
   match Hashtbl.find_opt t.clients cid with
   | Some c -> c
@@ -216,40 +210,6 @@ let complete t ~client =
          c.busy <- false;
          if Queue.is_empty c.q then Hashtbl.remove t.clients client);
       Condition.broadcast t.nonempty)
-
-let drain_where t ~lane p =
-  with_lock t (fun () ->
-      let taken = ref [] in
-      Hashtbl.iter
-        (fun cid c ->
-          if (not c.busy)
-             && (not (Queue.is_empty c.q))
-             && (Queue.peek c.q).lane = lane
-             && p (Queue.peek c.q).item then begin
-            let rec take () =
-              if not (Queue.is_empty c.q) then begin
-                let e = Queue.peek c.q in
-                if e.lane = lane && p e.item then begin
-                  ignore (Queue.pop c.q);
-                  bump_depth t lane (-1);
-                  note_wait lane e.admit_s;
-                  taken :=
-                    (e.admit_s, { t_item = e.item; t_client = cid; t_lane = lane })
-                    :: !taken;
-                  take ()
-                end
-              end
-            in
-            take ();
-            c.busy <- true;
-            ring_remove (ring t lane) cid;
-            if not (Queue.is_empty c.q) then
-              Queue.push cid (ring t (Queue.peek c.q).lane)
-          end)
-        t.clients;
-      (* oldest first; compare admit times only — tickets hold abstract
-         blocks (fds, mutexes) that [Stdlib.compare] would choke on *)
-      List.map snd (List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) !taken))
 
 let close t =
   with_lock t (fun () ->

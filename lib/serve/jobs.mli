@@ -58,17 +58,10 @@ val push : 'a t -> client:int -> lane:lane -> ?cost:int -> 'a -> [ `Ok | `Full |
     its next job dispatches only after {!complete}. *)
 val pop : 'a t -> 'a ticket option
 
-(** After a popped (or drained) job has been answered, release its
-    client so the client's next queued job can dispatch. Call exactly
-    once per distinct client of a dispatched group. *)
+(** After a popped job has been answered, release its client so the
+    client's next queued job can dispatch. Call exactly once per popped
+    ticket. *)
 val complete : 'a t -> client:int -> unit
-
-(** Remove consecutive head jobs in [lane] matching [p] from every idle
-    client, oldest first, marking each contributing client busy (one
-    {!complete} per distinct [t_client] afterwards). Lets a worker
-    coalesce compatible verifies without reordering any connection's
-    responses. *)
-val drain_where : 'a t -> lane:lane -> ('a -> bool) -> 'a ticket list
 
 (** Stop accepting jobs; blocked {!pop}s return once the backlog drains. *)
 val close : 'a t -> unit

@@ -28,11 +28,7 @@ type config =
     optimize : Api.Opt.config option
         (* run the R1CS optimiser on every prepared circuit; absorbed
            into cache ids and spilled key files so optimised and
-           unoptimised keys never mix *);
-    batch_aggregate : bool
-        (* route homogeneous Groth16 verify batches through SnarkPack
-           aggregation (Batch.verify_each ?aggregate_srs) instead of the
-           plain weighted batch check *) }
+           unoptimised keys never mix *) }
 
 (* Monotonic wall clock (CLOCK_MONOTONIC via bechamel's stub), in
    seconds. Deadlines and uptime must never go through
@@ -55,8 +51,7 @@ let default_config ~socket_path =
     metrics_interval_s = 1.;
     flight_capacity = 128;
     flight_file = None;
-    optimize = None;
-    batch_aggregate = false }
+    optimize = None }
 
 (* serve.* metrics mirror the atomic counters below; the atomics are
    authoritative (Status works with the sink disabled). *)
@@ -74,7 +69,6 @@ let m_batched = Metrics.counter "serve.batch.coalesced"
 let m_batch_groups = Metrics.counter "serve.batch.groups"
 let m_batch_fallback = Metrics.counter "serve.batch.fallback"
 let m_batch_malformed = Metrics.counter "serve.batch.malformed"
-let m_batch_aggregated = Metrics.counter "serve.batch.aggregated"
 
 (* worker-pool utilisation: pool size (constant once started) and how
    many workers are executing a job right now *)
@@ -105,7 +99,6 @@ type job =
     conn : conn;
     deadline : float option;
     trace : Wire.trace option;
-    wire_version : int; (* respond in the version the request arrived in *)
     admit_s : float;
     depth_at_admit : int;
     payload_bytes : int }
@@ -147,10 +140,6 @@ type t =
     listen_fd : Unix.file_descr;
     jobs_q : job Jobs.t;
     cache : Key_cache.t;
-    agg_srs : Zkvc_groth16.Aggregate.srs Lazy.t option;
-    (* aggregation SRS for --batch-aggregate, sampled on first use; the
-       trapdoors are process-local toxic waste (acceptable for a
-       verification accelerator — both SRS halves stay server-side) *)
     flight : flight_record Flight.t;
     started_at : float;
     requests : int Atomic.t;
@@ -175,16 +164,15 @@ let config t = t.cfg
 
 exception Expired
 
-let respond ?version ?timing conn resp =
+let respond ?timing conn resp =
   Mutex.lock conn.wlock;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock conn.wlock)
     (fun () ->
-      try Wire.write_frame ?version conn.fd (Wire.Response (timing, resp))
+      try Wire.write_frame conn.fd (Wire.Response (timing, resp))
       with Unix.Unix_error _ | Sys_error _ -> (* peer gone *) ())
 
-let respond_error ?version conn code message =
-  respond ?version conn (Wire.Error { code; message })
+let respond_error conn code message = respond conn (Wire.Error { code; message })
 
 let status t =
   { Wire.uptime_s = Span.now () -. t.started_at;
@@ -271,8 +259,8 @@ let outcome_of = function
   | Wire.Error { code; _ } -> Wire.error_code_to_string code
   | _ -> "ok"
 
-(* Record batch metrics for one verified group and name its path for
-   the group's flight records, so a malformed member (structural fault,
+(* Record batch metrics for one verified batch and name its path for
+   its flight record, so a malformed member (structural fault,
    attributable) is distinguishable from honest cryptographic rejection
    and from the clean batched fast path. *)
 let note_batch_outcome t ~n (outcome : Batch.outcome) =
@@ -281,10 +269,6 @@ let note_batch_outcome t ~n (outcome : Batch.outcome) =
    | Batch.Batched ->
      ignore (Atomic.fetch_and_add t.batched n);
      Metrics.add m_batched n
-   | Batch.Aggregated ->
-     ignore (Atomic.fetch_and_add t.batched n);
-     Metrics.add m_batched n;
-     Metrics.incr m_batch_aggregated
    | Batch.Fallback -> Metrics.incr m_batch_fallback
    | Batch.Per_item -> ());
   (match outcome.Batch.malformed with
@@ -293,12 +277,8 @@ let note_batch_outcome t ~n (outcome : Batch.outcome) =
   match (outcome.Batch.path, outcome.Batch.malformed) with
   | _, _ :: _ -> "ok_malformed"
   | Batch.Batched, [] -> "ok_batched"
-  | Batch.Aggregated, [] -> "ok_aggregated"
   | Batch.Fallback, [] -> "ok_fallback"
   | Batch.Per_item, [] -> "ok"
-
-let aggregate_srs_of t =
-  match t.agg_srs with Some l -> Some (Lazy.force l) | None -> None
 
 (* ---------------- worker: request processing ---------------- *)
 
@@ -438,8 +418,7 @@ let execute t job ~args ~hot ~note =
         | Some entry ->
           let outcome =
             Span.with_span ~args "serve.request.batch_verify" (fun () ->
-                Batch.verify_each ?aggregate_srs:(aggregate_srs_of t)
-                  entry.Key_cache.keys items)
+                Batch.verify_each entry.Key_cache.keys items)
           in
           note := Some (note_batch_outcome t ~n:(List.length items) outcome);
           Wire.Batch_ok outcome.Batch.verdicts)
@@ -467,37 +446,10 @@ let phases_of_span root =
   let all = List.rev (go [] root) in
   List.filteri (fun i _ -> i < 256) all
 
-(* Push a flight record, then send [resp] with a v2 timing block (at the
-   job's own wire version — v1 clients get the plain v1 frame). Recording
+(* Run a job end to end: span-wrapped execution, timing extraction, then
+   a flight record and the response with its timing block. Recording
    first means a client that has its reply can already see the record in
    a Status_detail dump. *)
-let finish ?(hot_region = "-") ?outcome t job ~wid ~wait_s ~exec_s ~phases resp =
-  let timing =
-    Some
-      { Wire.tm_request_id =
-          (match job.trace with
-           | Some tr -> tr.Wire.tr_request_id
-           | None -> zero_request_id);
-        tm_queue_wait_s = wait_s;
-        tm_exec_s = exec_s;
-        tm_phases = phases }
-  in
-  Flight.record t.flight
-    { fr_request_id = request_id_hex job.trace;
-      fr_kind = request_kind job.req;
-      fr_lane = Jobs.lane_to_string (lane_of_req job.req);
-      fr_worker = wid;
-      fr_cache = cache_outcome_of resp;
-      fr_depth_at_admit = job.depth_at_admit;
-      fr_wait_s = wait_s;
-      fr_exec_s = exec_s;
-      fr_bytes = job.payload_bytes;
-      fr_outcome = (match outcome with Some s -> s | None -> outcome_of resp);
-      fr_hot_region = hot_region };
-  respond ~version:job.wire_version ?timing job.conn resp
-
-(* Run a job end to end: span-wrapped execution, timing extraction,
-   flight record, versioned response. *)
 let run_job t ~wid job =
   let wait_s = Span.now () -. job.admit_s in
   let args =
@@ -517,86 +469,32 @@ let run_job t ~wid job =
   (* the span [execute] just closed, if it opened one (error paths that
      fail before any span leave [last_completed] stale — detect by
      physical identity) *)
-  let root =
+  let phases =
     match Span.last_completed () with
-    | Some s when (match before with Some b -> not (s == b) | None -> true) -> Some s
-    | _ -> None
+    | Some s when (match before with Some b -> not (s == b) | None -> true) ->
+      phases_of_span s
+    | _ -> []
   in
-  let phases = match root with Some s -> phases_of_span s | None -> [] in
-  finish ~hot_region:!hot ?outcome:!note t job ~wid ~wait_s ~exec_s ~phases resp
-
-(* Coalesce queued single-proof verifies against the same key into one
-   batched check; each request still gets its own [Verify_ok], timing
-   block (group execution time, per-job queue wait) and flight record. *)
-let process_verify_group t ~wid jobs =
-  let now = Span.now () in
-  let live, expired =
-    List.partition
-      (fun j ->
-        match j.deadline with
-        | Some d when now > d -> false
-        | _ -> true)
-      jobs
+  Flight.record t.flight
+    { fr_request_id = request_id_hex job.trace;
+      fr_kind = request_kind job.req;
+      fr_lane = Jobs.lane_to_string (lane_of_req job.req);
+      fr_worker = wid;
+      fr_cache = cache_outcome_of resp;
+      fr_depth_at_admit = job.depth_at_admit;
+      fr_wait_s = wait_s;
+      fr_exec_s = exec_s;
+      fr_bytes = job.payload_bytes;
+      fr_outcome = (match !note with Some s -> s | None -> outcome_of resp);
+      fr_hot_region = !hot };
+  let timing =
+    { Wire.tm_request_id =
+        (match job.trace with Some tr -> tr.Wire.tr_request_id | None -> zero_request_id);
+      tm_queue_wait_s = wait_s;
+      tm_exec_s = exec_s;
+      tm_phases = phases }
   in
-  List.iter
-    (fun j ->
-      Atomic.incr t.timeouts;
-      Metrics.incr m_timeout;
-      finish t j ~wid ~wait_s:(now -. j.admit_s) ~exec_s:0. ~phases:[]
-        (Wire.Error { code = Wire.Deadline_exceeded; message = "deadline exceeded" }))
-    expired;
-  match live with
-  | [] -> ()
-  | [ j ] -> run_job t ~wid j
-  | _ -> (
-    let key_id =
-      match (List.hd live).req with
-      | Wire.Verify { key_id; _ } -> key_id
-      | _ -> assert false
-    in
-    let waits = List.map (fun j -> now -. j.admit_s) live in
-    let answer_all ?outcome exec_s phases resps =
-      List.iter2
-        (fun (j, wait_s) resp -> finish ?outcome t j ~wid ~wait_s ~exec_s ~phases resp)
-        (List.combine live waits) resps
-    in
-    match Key_cache.find_by_id t.cache key_id with
-    | None -> answer_all 0. [] (List.map (fun _ -> unknown_key_error) live)
-    | Some entry ->
-      let args =
-        [ ("worker", string_of_int wid);
-          ("lane", "verify");
-          ("coalesced", string_of_int (List.length live));
-          ("request_ids", String.concat "," (List.map (fun j -> request_id_hex j.trace) live)) ]
-      in
-      let before = Span.last_completed () in
-      let t0 = Span.now () in
-      let outcome =
-        Span.with_span ~args "serve.request.verify_coalesced" (fun () ->
-            Batch.verify_each ?aggregate_srs:(aggregate_srs_of t)
-              entry.Key_cache.keys
-              (List.map
-                 (fun j ->
-                   match j.req with
-                   | Wire.Verify { public_inputs; proof; _ } -> (public_inputs, proof)
-                   | _ -> assert false)
-                 live))
-      in
-      let exec_s = Span.now () -. t0 in
-      let oc = note_batch_outcome t ~n:(List.length live) outcome in
-      let root =
-        match Span.last_completed () with
-        | Some s when (match before with Some b -> not (s == b) | None -> true) -> Some s
-        | _ -> None
-      in
-      let phases = match root with Some s -> phases_of_span s | None -> [] in
-      answer_all ~outcome:oc exec_s phases
-        (List.map (fun ok -> Wire.Verify_ok ok) outcome.Batch.verdicts))
-
-(* dedup while preserving first-occurrence order (group client lists) *)
-let distinct ints =
-  List.rev
-    (List.fold_left (fun acc i -> if List.mem i acc then acc else i :: acc) [] ints)
+  respond ~timing job.conn resp
 
 let worker_body t ~wid =
   let rec loop () =
@@ -607,44 +505,20 @@ let worker_body t ~wid =
       Atomic.incr t.busy_workers;
       Metrics.set m_workers_busy (float_of_int (Atomic.get t.busy_workers));
       (* the catch-all keeps the worker alive: an unexpected exception
-         (e.g. on the coalesced-verify path) must answer Internal and
-         continue, not silently kill a consumer. The finally releases
-         conn refs, frees every contributing scheduler client (so its
-         next job can dispatch) and drops the busy gauge. *)
-      let guarded jobs clients f =
-        Fun.protect
-          ~finally:(fun () ->
-            List.iter (fun j -> conn_release j.conn) jobs;
-            List.iter (fun cid -> Jobs.complete t.jobs_q ~client:cid) (distinct clients);
-            ignore (Atomic.fetch_and_add t.busy_workers (-1));
-            Metrics.set m_workers_busy (float_of_int (Atomic.get t.busy_workers)))
-          (fun () ->
-            try f ()
-            with e ->
-              let msg = Printexc.to_string e in
-              List.iter
-                (fun j -> respond_error ~version:j.wire_version j.conn Wire.Internal msg)
-                jobs)
-      in
+         must answer Internal and continue, not silently kill a
+         consumer. The finally releases the conn ref, frees the
+         scheduler client (so its next job can dispatch) and drops the
+         busy gauge. *)
       let job = ticket.Jobs.t_item in
-      (match job.req with
-       | Wire.Verify { key_id; _ } ->
-         (* coalesce same-key single verifies that sit at the head of
-            idle clients' queues — deeper entries stay put so no
-            connection's responses reorder *)
-         let extra =
-           Jobs.drain_where t.jobs_q ~lane:Jobs.Lane_verify (fun j ->
-               match j.req with
-               | Wire.Verify { key_id = k; _ } -> k = key_id
-               | _ -> false)
-         in
-         let group = job :: List.map (fun tk -> tk.Jobs.t_item) extra in
-         let clients =
-           ticket.Jobs.t_client :: List.map (fun tk -> tk.Jobs.t_client) extra
-         in
-         guarded group clients (fun () -> process_verify_group t ~wid group)
-       | _ ->
-         guarded [ job ] [ ticket.Jobs.t_client ] (fun () -> run_job t ~wid job));
+      Fun.protect
+        ~finally:(fun () ->
+          conn_release job.conn;
+          Jobs.complete t.jobs_q ~client:ticket.Jobs.t_client;
+          ignore (Atomic.fetch_and_add t.busy_workers (-1));
+          Metrics.set m_workers_busy (float_of_int (Atomic.get t.busy_workers)))
+        (fun () ->
+          try run_job t ~wid job
+          with e -> respond_error job.conn Wire.Internal (Printexc.to_string e));
       loop ()
   in
   loop ()
@@ -721,22 +595,22 @@ let rec shutdown t =
   done;
   Mutex.unlock t.drain_lock
 
-and handle_request t conn ~version ~trace ~payload_bytes req =
+and handle_request t conn ~trace ~payload_bytes req =
   Atomic.incr t.requests;
   Metrics.incr m_requests;
   match req with
-  | Wire.Status -> respond ~version conn (Wire.Status_ok (status t))
+  | Wire.Status -> respond conn (Wire.Status_ok (status t))
   | Wire.Status_detail ->
     (* served on the reader thread (no proving): metrics registry and
        flight ring are both safe to read concurrently with the worker *)
-    respond ~version conn
+    respond conn
       (Wire.Status_detail_ok
          { status = status t;
            metrics_text = Expose.render ();
            flight_jsonl = flight_jsonl t })
   | Wire.Shutdown ->
     shutdown t;
-    respond ~version conn Wire.Shutdown_ok
+    respond conn Wire.Shutdown_ok
   | req -> (
     let arrival = Span.now () in
     let job =
@@ -744,7 +618,6 @@ and handle_request t conn ~version ~trace ~payload_bytes req =
         conn;
         deadline = deadline_of arrival (request_deadline_ms req);
         trace;
-        wire_version = version;
         admit_s = arrival;
         depth_at_admit = Jobs.length t.jobs_q;
         payload_bytes }
@@ -760,18 +633,13 @@ and handle_request t conn ~version ~trace ~payload_bytes req =
       conn_release conn;
       Atomic.incr t.rejections;
       Metrics.incr m_rejected;
-      respond_error ~version conn Wire.Queue_full "job queue is full, retry later"
+      respond_error conn Wire.Queue_full "job queue is full, retry later"
     | `Closed ->
       conn_release conn;
-      respond_error ~version conn Wire.Shutting_down "server is shutting down")
+      respond_error conn Wire.Shutting_down "server is shutting down")
 
 let reader_loop t conn =
   let stop_now () = Atomic.get t.stopping && t.is_drained in
-  (* the version of the last frame this peer successfully sent; error
-     replies to unparseable frames use it, so a v1 client never receives
-     an error frame it cannot decode. Before any good frame, assume the
-     lowest version we speak — every peer decodes that. *)
-  let last_version = ref Wire.min_version in
   let rec loop () =
     if not (stop_now ()) then
       match Unix.select [ conn.fd ] [] [] 0.25 with
@@ -781,16 +649,11 @@ let reader_loop t conn =
         | Error Wire.Eof -> ()
         | Error e ->
           (* framing is lost after a malformed frame: answer, then drop *)
-          respond_error ~version:!last_version conn Wire.Bad_request
-            (Wire.error_to_string e)
-        | Ok (Wire.Response _, meta) ->
-          last_version := meta.Wire.frame_version;
-          respond_error ~version:!last_version conn Wire.Bad_request
-            "unexpected response frame"
+          respond_error conn Wire.Bad_request (Wire.error_to_string e)
+        | Ok (Wire.Response _, _) ->
+          respond_error conn Wire.Bad_request "unexpected response frame"
         | Ok (Wire.Request (trace, req), meta) ->
-          last_version := meta.Wire.frame_version;
-          handle_request t conn ~version:meta.Wire.frame_version ~trace
-            ~payload_bytes:meta.Wire.payload_bytes req;
+          handle_request t conn ~trace ~payload_bytes:meta.Wire.payload_bytes req;
           loop ())
       | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) -> loop ()
       | exception Unix.Unix_error (Unix.EBADF, _, _) -> ()
@@ -856,14 +719,6 @@ let start cfg =
       listen_fd;
       jobs_q = Jobs.create ~capacity:cfg.queue_capacity ();
       cache = Key_cache.create ~capacity:cfg.cache_capacity ?dir:cfg.cache_dir ();
-      agg_srs =
-        (if cfg.batch_aggregate then
-           Some
-             (lazy
-               (Zkvc_groth16.Aggregate.setup
-                  (Random.State.make_self_init ())
-                  ~max_proofs:64))
-         else None);
       flight = Flight.create ~capacity:(Stdlib.max 1 cfg.flight_capacity);
       started_at = Span.now ();
       requests = Atomic.make 0;

@@ -58,12 +58,7 @@ type config =
             server prepares or keygens. The config is absorbed into
             cache ids and spilled key files, so optimised and
             unoptimised keys never mix. [None] (the default) leaves
-            circuits untouched. *);
-    batch_aggregate : bool
-        (** route homogeneous Groth16 verify batches through SnarkPack
-            aggregation ({!Zkvc_groth16.Aggregate}) instead of the plain
-            weighted batch check. The aggregation SRS is sampled once,
-            lazily, per server process. Default [false]. *) }
+            circuits untouched. *) }
 
 val default_config : socket_path:string -> config
 

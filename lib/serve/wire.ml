@@ -1,4 +1,4 @@
-(** Versioned binary wire protocol of the zkVC proof service. See the
+(** Binary wire protocol of the zkVC proof service. See the
     interface for the frame layout. Decoding is total: a private [Fail]
     exception carries the error to the entry points, every read is
     bounds-checked against the declared payload, and every scalar/point
@@ -36,14 +36,13 @@ let fail e = raise (Fail e)
 
 let magic = "ZKVC"
 let version = 3
-let min_version = 1
 let max_payload = 1 lsl 26 (* 64 MiB *)
 let header_bytes = 10
 let key_id_bytes = 32
 let request_id_bytes = 16
 let fr_bytes = 32
 
-(* wire sanity bounds on the v2 trace/timing blocks *)
+(* wire sanity bounds on the trace/timing blocks *)
 let max_origin_bytes = 256
 let max_phases = 256
 let max_phase_name_bytes = 128
@@ -56,7 +55,7 @@ type prove_input =
   | Seeded of { seed : int; bound : int }
   | Explicit of { seed : int; x : Fr.t array array; w : Fr.t array array }
 
-(* v2 trace context: a client-chosen request id carried on requests and
+(* trace context: a client-chosen request id carried on requests and
    echoed back inside the response timing block. *)
 type trace = { tr_request_id : string; tr_origin : string }
 
@@ -104,8 +103,8 @@ type status =
     timeouts : int;
     rejections : int;
     batched : int;
-    (* scheduler block, wire version 3+ (decodes as zeros from older
-       peers): worker-pool size/occupancy and per-lane queue depths *)
+    (* scheduler block: worker-pool size/occupancy and per-lane queue
+       depths *)
     workers : int;
     workers_busy : int;
     queue_depth_verify : int;
@@ -148,7 +147,7 @@ type frame =
   | Request of trace option * request
   | Response of timing option * response
 
-type meta = { frame_version : int; payload_bytes : int }
+type meta = { payload_bytes : int }
 
 (* ---------------- encoding primitives ---------------- *)
 
@@ -339,7 +338,7 @@ let r_proof c =
 
 let finished c what = if remaining c <> 0 then fail (Malformed ("trailing bytes in " ^ what))
 
-(* ---------------- trace / timing blocks (v2) ---------------- *)
+(* ---------------- trace / timing blocks ---------------- *)
 
 let w_trace buf = function
   | None -> w_u8 buf 0
@@ -422,9 +421,7 @@ let kind_of_frame = function
   | Response (_, Status_detail_ok _) -> 0x87
   | Response (_, Error _) -> 0xff
 
-(* the scheduler block is a v3 extension; v1/v2 status payloads stay
-   byte-identical to what older builds emitted *)
-let w_status ~version buf s =
+let w_status buf s =
   w_f64 buf s.uptime_s;
   w_i64 buf s.requests;
   w_u32 buf s.queue_depth;
@@ -435,12 +432,10 @@ let w_status ~version buf s =
   w_i64 buf s.timeouts;
   w_i64 buf s.rejections;
   w_i64 buf s.batched;
-  if version >= 3 then begin
-    w_u32 buf s.workers;
-    w_u32 buf s.workers_busy;
-    w_u32 buf s.queue_depth_verify;
-    w_u32 buf s.queue_depth_prove
-  end
+  w_u32 buf s.workers;
+  w_u32 buf s.workers_busy;
+  w_u32 buf s.queue_depth_verify;
+  w_u32 buf s.queue_depth_prove
 
 let encode_request buf = function
   | Keygen { backend; strategy; dims; seed; bound; deadline_ms } ->
@@ -481,7 +476,7 @@ let encode_request buf = function
       items
   | Status | Status_detail | Shutdown -> ()
 
-let encode_response ~version buf = function
+let encode_response buf = function
   | Keygen_ok { key_id; cache_hit; key_bytes } ->
     w_key_id buf key_id;
     w_bool buf cache_hit;
@@ -497,9 +492,9 @@ let encode_response ~version buf = function
   | Batch_ok oks ->
     w_u32 buf (List.length oks);
     List.iter (w_bool buf) oks
-  | Status_ok s -> w_status ~version buf s
+  | Status_ok s -> w_status buf s
   | Status_detail_ok { status; metrics_text; flight_jsonl } ->
-    w_status ~version buf status;
+    w_status buf status;
     w_lp_string buf metrics_text;
     w_lp_string buf flight_jsonl
   | Shutdown_ok -> ()
@@ -514,17 +509,17 @@ let encode_response ~version buf = function
        | Internal -> 5);
     w_lp_string buf message
 
-(* The v2 payload prefixes the v1 body with an optional trace block
-   (requests) or timing block (responses); v1 frames carry neither. *)
-let encode_payload ~version buf = function
+(* The payload prefixes the kind-specific body with an optional trace
+   block (requests) or timing block (responses). *)
+let encode_payload buf = function
   | Request (trace, req) ->
-    if version >= 2 then w_trace buf trace;
+    w_trace buf trace;
     encode_request buf req
   | Response (timing, resp) ->
-    if version >= 2 then w_timing buf timing;
-    encode_response ~version buf resp
+    w_timing buf timing;
+    encode_response buf resp
 
-let r_status ~version c =
+let r_status c =
   let uptime_s = r_f64 c in
   let requests = r_i64 c in
   let queue_depth = r_u32 c in
@@ -535,18 +530,18 @@ let r_status ~version c =
   let timeouts = r_i64 c in
   let rejections = r_i64 c in
   let batched = r_i64 c in
-  let workers = if version >= 3 then r_u32 c else 0 in
-  let workers_busy = if version >= 3 then r_u32 c else 0 in
-  let queue_depth_verify = if version >= 3 then r_u32 c else 0 in
-  let queue_depth_prove = if version >= 3 then r_u32 c else 0 in
+  let workers = r_u32 c in
+  let workers_busy = r_u32 c in
+  let queue_depth_verify = r_u32 c in
+  let queue_depth_prove = r_u32 c in
   { uptime_s; requests; queue_depth; queue_capacity; cache_hits;
     cache_misses; cache_entries; timeouts; rejections; batched;
     workers; workers_busy; queue_depth_verify; queue_depth_prove }
 
-let decode_payload ~version kind c =
-  (* the v2 trace/timing prefix comes before the kind-specific body *)
-  let trace = if kind < 0x80 && version >= 2 then r_trace c else None in
-  let timing = if kind >= 0x80 && version >= 2 then r_timing c else None in
+let decode_payload kind c =
+  (* the trace/timing prefix comes before the kind-specific body *)
+  let trace = if kind < 0x80 then r_trace c else None in
+  let timing = if kind >= 0x80 then r_timing c else None in
   let request r = Request (trace, r) in
   let response r = Response (timing, r) in
   let frame =
@@ -598,7 +593,7 @@ let decode_payload ~version kind c =
       request (Batch_verify { key_id; items; deadline_ms })
     | 0x05 -> request Status
     | 0x06 -> request Shutdown
-    | 0x07 when version >= 2 -> request Status_detail
+    | 0x07 -> request Status_detail
     | 0x81 ->
       let key_id = r_key_id c in
       let cache_hit = r_bool c in
@@ -617,10 +612,10 @@ let decode_payload ~version kind c =
       let n = r_u32 c in
       if n > remaining c then fail Truncated;
       response (Batch_ok (List.init n (fun _ -> r_bool c)))
-    | 0x85 -> response (Status_ok (r_status ~version c))
+    | 0x85 -> response (Status_ok (r_status c))
     | 0x86 -> response Shutdown_ok
-    | 0x87 when version >= 2 ->
-      let status = r_status ~version c in
+    | 0x87 ->
+      let status = r_status c in
       let metrics_text = r_lp_string c in
       let flight_jsonl = r_lp_string c in
       response (Status_detail_ok { status; metrics_text; flight_jsonl })
@@ -644,15 +639,9 @@ let decode_payload ~version kind c =
 
 (* ---------------- frames ---------------- *)
 
-let encode_frame ?(version = version) frame =
-  if version < min_version || version > 3 then
-    invalid_arg "Wire.encode_frame: unsupported version";
-  (match (version, frame) with
-   | 1, (Request (_, Status_detail) | Response (_, Status_detail_ok _)) ->
-     invalid_arg "Wire.encode_frame: Status_detail requires wire version 2"
-   | _ -> ());
+let encode_frame frame =
   let payload = Buffer.create 256 in
-  encode_payload ~version payload frame;
+  encode_payload payload frame;
   let n = Buffer.length payload in
   if n > max_payload then invalid_arg "Wire.encode_frame: payload exceeds max_payload";
   let buf = Buffer.create (header_bytes + n) in
@@ -663,25 +652,28 @@ let encode_frame ?(version = version) frame =
   Buffer.add_buffer buf payload;
   Buffer.to_bytes buf
 
-let check_header c =
-  need c 4;
-  let m = Bytes.sub_string c.buf c.pos 4 in
-  c.pos <- c.pos + 4;
-  if m <> magic then fail Bad_magic;
+let check_magic c m = if Bytes.to_string (r_fixed c 4) <> m then fail Bad_magic
+
+(* this build speaks exactly one version, for frames and codec files alike *)
+let check_version c =
   let v = r_u8 c in
-  if v < min_version || v > version then fail (Unsupported_version v);
+  if v <> version then fail (Unsupported_version v)
+
+let check_header c =
+  check_magic c magic;
+  check_version c;
   let kind = r_u8 c in
   let len = r_u32 c in
   if len > max_payload then fail (Oversized len);
-  (v, kind, len)
+  (kind, len)
 
 let decode_frame' bytes =
   try
     let c = cursor_of_bytes bytes in
-    let v, kind, len = check_header c in
+    let kind, len = check_header c in
     if remaining c < len then fail Truncated;
     if remaining c > len then fail (Malformed "trailing bytes after frame");
-    Ok (decode_payload ~version:v kind c, { frame_version = v; payload_bytes = len })
+    Ok (decode_payload kind c, { payload_bytes = len })
   with Fail e -> Error e
 
 let decode_frame bytes = Result.map fst (decode_frame' bytes)
@@ -697,8 +689,8 @@ let rec write_all fd b pos len =
     write_all fd b (pos + n) (len - n)
   end
 
-let write_frame ?version fd frame =
-  let b = encode_frame ?version frame in
+let write_frame fd frame =
+  let b = encode_frame frame in
   write_all fd b 0 (Bytes.length b)
 
 (* [Error Eof] only when the peer closes before the first byte of a
@@ -721,13 +713,10 @@ let read_frame' fd : (frame * meta, error) result =
   | Ok header ->
     (try
        let c = cursor_of_bytes header in
-       let v, kind, len = check_header c in
+       let kind, len = check_header c in
        match read_exact fd len ~at_start:false with
        | Error e -> Error e
-       | Ok payload ->
-         Ok
-           ( decode_payload ~version:v kind (cursor_of_bytes payload),
-             { frame_version = v; payload_bytes = len } )
+       | Ok payload -> Ok (decode_payload kind (cursor_of_bytes payload), { payload_bytes = len })
      with Fail e -> Error e)
 
 let read_frame fd : (frame, error) result = Result.map fst (read_frame' fd)
@@ -761,12 +750,8 @@ let encode_proof_file pf =
 let decode_proof_file bytes =
   try
     let c = cursor_of_bytes bytes in
-    need c 4;
-    let m = Bytes.sub_string c.buf c.pos 4 in
-    c.pos <- c.pos + 4;
-    if m <> proof_file_magic then fail Bad_magic;
-    let v = r_u8 c in
-    if v < min_version || v > version then fail (Unsupported_version v);
+    check_magic c proof_file_magic;
+    check_version c;
     let pf_backend = r_backend c in
     let pf_strategy = r_strategy c in
     let pf_dims = r_dims c in
@@ -829,12 +814,8 @@ let encode_key_file kf =
 let decode_key_file bytes =
   try
     let c = cursor_of_bytes bytes in
-    need c 4;
-    let m = Bytes.sub_string c.buf c.pos 4 in
-    c.pos <- c.pos + 4;
-    if m <> key_file_magic then fail Bad_magic;
-    let v = r_u8 c in
-    if v < min_version || v > version then fail (Unsupported_version v);
+    check_magic c key_file_magic;
+    check_version c;
     let kf_backend = r_backend c in
     let kf_strategy = r_strategy c in
     let kf_dims = r_dims c in
@@ -913,10 +894,7 @@ let encode_aggregate_file af =
 let decode_aggregate_file bytes =
   try
     let c = cursor_of_bytes bytes in
-    need c 4;
-    let m = Bytes.sub_string c.buf c.pos 4 in
-    c.pos <- c.pos + 4;
-    if m <> aggregate_file_magic then fail Bad_magic;
+    check_magic c aggregate_file_magic;
     let v = r_u8 c in
     if v <> aggregate_file_version then fail (Unsupported_version v);
     let af_key_id = r_key_id c in

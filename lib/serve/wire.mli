@@ -1,26 +1,24 @@
-(** Versioned binary wire protocol of the zkVC proof service.
+(** Binary wire protocol of the zkVC proof service.
 
     Every message travels as one frame:
 
     {v
     offset  size  field
     0       4     magic "ZKVC"
-    4       1     version (1, 2 or 3; current encoders default to 3)
+    4       1     version (always {!version} = 3)
     5       1     kind (request 0x01..0x07, response 0x81..0x87, 0xff error)
     6       4     payload length, big-endian (at most {!max_payload})
     10      n     payload
     v}
 
-    Version 2 prefixes every request payload with an optional {!trace}
-    block (16-byte request id + origin string) and every response
-    payload with an optional {!timing} block (request-id echo, queue
-    wait, execution time, named phase offsets), enabling cross-process
-    trace stitching. Version 3 appends a scheduler block (worker-pool
-    size and occupancy, per-lane queue depths) to the {!status} payload.
-    Version 1 frames carry none of these and remain fully decodable, and
-    v1/v2 payloads are byte-identical to what older builds emitted;
-    encoders take [?version] to speak to older peers. The
-    [Status_detail] operation exists only at version 2+.
+    Every request payload starts with an optional {!trace} block
+    (16-byte request id + origin string) and every response payload with
+    an optional {!timing} block (request-id echo, queue wait, execution
+    time, named phase offsets), enabling cross-process trace stitching.
+    The {!status} payload ends with a scheduler block (worker-pool size
+    and occupancy, per-lane queue depths). Frames, proof files and key
+    files carrying any other version byte decode to
+    [Error (Unsupported_version v)].
 
     Integers are big-endian; scalars are the canonical 32-byte Fr
     encoding; curve points use the libraries' tagged uncompressed
@@ -50,10 +48,9 @@ val error_to_string : error -> string
     length field can never trigger an over-read or a huge allocation. *)
 val max_payload : int
 
-(** Current (highest) and lowest wire versions this build speaks. *)
+(** The one wire version this build speaks, in frames, proof files and
+    key files. *)
 val version : int
-
-val min_version : int
 
 (** Size of a {!trace} request id, in raw bytes (16). *)
 val request_id_bytes : int
@@ -68,13 +65,13 @@ type prove_input =
   | Seeded of { seed : int; bound : int }
   | Explicit of { seed : int; x : Fr.t array array; w : Fr.t array array }
 
-(** Client trace context attached to v2 requests: [tr_request_id] is 16
+(** Client trace context attached to requests: [tr_request_id] is 16
     raw bytes chosen by the client (unique per request), [tr_origin] a
     short free-form label of the requesting process (at most 256
     bytes). *)
 type trace = { tr_request_id : string; tr_origin : string }
 
-(** Server-side timings attached to v2 responses. [tm_request_id]
+(** Server-side timings attached to responses. [tm_request_id]
     echoes the request's trace id (all zeros when the request carried
     none); [tm_phases] are [(name, offset_s, duration_s)] with offsets
     relative to the start of execution (after [tm_queue_wait_s] of
@@ -114,7 +111,7 @@ type request =
   | Status
   | Status_detail
       (** Status plus a metrics-exposition snapshot and the flight
-          recorder dump; v2 only. *)
+          recorder dump. *)
   | Shutdown
 
 type status =
@@ -128,10 +125,10 @@ type status =
     timeouts : int;
     rejections : int;
     batched : int;
-    workers : int;  (** worker-thread pool size (v3+; 0 from older peers) *)
-    workers_busy : int;  (** workers executing a job right now (v3+) *)
-    queue_depth_verify : int;  (** queued jobs in the verify lane (v3+) *)
-    queue_depth_prove : int  (** queued jobs in the prove lane (v3+) *) }
+    workers : int;  (** worker-thread pool size *)
+    workers_busy : int;  (** workers executing a job right now *)
+    queue_depth_verify : int;  (** queued jobs in the verify lane *)
+    queue_depth_prove : int  (** queued jobs in the prove lane *) }
 
 type error_code =
   | Queue_full
@@ -164,23 +161,18 @@ type response =
   | Shutdown_ok
   | Error of { code : error_code; message : string }
 
-(** Frames pair the operation with its (v2-only) trace / timing block;
-    both are [None] on v1 frames and may be [None] on v2 frames. *)
+(** Frames pair the operation with its optional trace / timing block. *)
 type frame =
   | Request of trace option * request
   | Response of timing option * response
 
-(** What the decoder saw on the wire: the frame's version byte and its
-    payload length. Servers use [frame_version] to reply in the version
-    the request arrived in. *)
-type meta = { frame_version : int; payload_bytes : int }
+(** What the decoder saw on the wire besides the frame: its payload
+    length. *)
+type meta = { payload_bytes : int }
 
 (** Whole-buffer codec: [decode_frame] requires exactly one well-formed
-    frame (trailing bytes are an error). [encode_frame ~version:1] drops
-    the trace/timing block and raises [Invalid_argument] on
-    [Status_detail] frames, which v1 cannot express; versions below 3
-    drop the status scheduler block. The default version is 3. *)
-val encode_frame : ?version:int -> frame -> Bytes.t
+    frame (trailing bytes are an error). *)
+val encode_frame : frame -> Bytes.t
 
 val decode_frame : Bytes.t -> (frame, error) result
 
@@ -189,8 +181,8 @@ val decode_frame' : Bytes.t -> (frame * meta, error) result
 (** Blocking frame IO over a file descriptor. [read_frame] returns
     [Error Eof] on a clean close at a frame boundary, [Error Truncated]
     on a mid-frame close. [write_frame] raises [Unix.Unix_error] on IO
-    failure; [?version] as in {!encode_frame}. *)
-val write_frame : ?version:int -> Unix.file_descr -> frame -> unit
+    failure. *)
+val write_frame : Unix.file_descr -> frame -> unit
 
 val read_frame : Unix.file_descr -> (frame, error) result
 

@@ -141,30 +141,6 @@ let test_report_regions_roundtrip () =
   check_bool "writer stamps the v3 schema" true
     (Json.member "schema" (Report.to_json r) = Some (Json.String "zkvc-bench/3"))
 
-let test_report_reads_v2 () =
-  (* a v2 report (previous schema, no region blocks) must keep parsing:
-     committed baselines outlive schema bumps *)
-  let r = report [ meas () ] in
-  let v2_json =
-    (* rewrite the schema stamp; the body of a non-profiled report is
-       identical between v2 and v3 *)
-    match Report.to_json r with
-    | Json.Obj fields ->
-      Json.Obj
-        (List.map
-           (function
-             | "schema", _ -> ("schema", Json.String "zkvc-bench/2")
-             | f -> f)
-           fields)
-    | j -> j
-  in
-  match Report.of_string (Json.to_string v2_json) with
-  | Ok r' ->
-    check_bool "v2 text parses" true (r = r');
-    check_bool "regions absent" true
-      (List.for_all (fun m -> m.Report.regions = None) r'.Report.measurements)
-  | Error e -> Alcotest.failf "v2 report rejected: %s" e
-
 let test_summarize () =
   (* binary-exact sample values so the expected median/MAD are exact *)
   let m = meas ~prove:[ 0.25; 1.0; 0.5 ] () in
@@ -174,47 +150,14 @@ let test_summarize () =
   check_bool "key" true
     (Report.key m = "tab2/zkVC-G/crpc+psq/groth16/3x4x8")
 
-(* The committed perf baseline must stay readable and carry the paper's
+(* The committed baseline must stay readable and carry the paper's
    Table II mechanism: CRPC+PSQ strictly below vanilla groth16 in
-   constraints and A/B-column nonzeros at the same dims. Skipped when the
-   test does not run from the repository root (dune runtest does). *)
-let test_committed_baseline () =
-  let path = "../BENCH_0003.json" in
-  let path = if Sys.file_exists path then path else "BENCH_0003.json" in
-  if not (Sys.file_exists path) then ()
-  else begin
-    let ic = open_in_bin path in
-    let text =
-      Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
-          really_input_string ic (in_channel_length ic))
-    in
-    match Report.of_string text with
-    | Error e -> Alcotest.failf "BENCH_0003.json unreadable: %s" e
-    | Ok r ->
-      (match Report.of_json (Report.to_json r) with
-       | Ok r' -> check_bool "baseline round-trips exactly" true (r = r')
-       | Error e -> Alcotest.failf "baseline re-parse failed: %s" e);
-      let find strategy =
-        List.find
-          (fun m ->
-            m.Report.section = "tab2" && m.Report.backend = "groth16"
-            && m.Report.strategy = strategy)
-          r.Report.measurements
-      in
-      let vanilla = (find "vanilla").Report.ledger
-      and zkvc = (find "crpc+psq").Report.ledger in
-      check_bool "CRPC+PSQ has strictly fewer constraints" true
-        (zkvc.Report.constraints < vanilla.Report.constraints);
-      check_bool "CRPC+PSQ has strictly fewer A-column nonzeros" true
-        (zkvc.Report.nonzero_a < vanilla.Report.nonzero_a);
-      check_bool "CRPC+PSQ has strictly fewer B-column nonzeros" true
-        (zkvc.Report.nonzero_b < vanilla.Report.nonzero_b)
-  end
-
-(* The current baseline is region-profiled (zkvc-bench/3): every
-   measurement must carry a provenance tree whose attributed constraint
-   total equals the global ledger's — the self-consistency the profiler
-   CLI also asserts at run time. *)
+   constraints and A/B-column nonzeros at the same dims. It is
+   region-profiled (zkvc-bench/3): every measurement must carry a
+   provenance tree whose attributed constraint total equals the global
+   ledger's — the self-consistency the profiler CLI also asserts at run
+   time. dune runtest copies the file next to the test directory; a
+   run from elsewhere skips the check. *)
 let test_committed_baseline_0008 () =
   let path = "../BENCH_0008.json" in
   let path = if Sys.file_exists path then path else "BENCH_0008.json" in
@@ -244,7 +187,22 @@ let test_committed_baseline_0008 () =
               (Report.key m ^ ": timing stripped for determinism")
               true
               (Attrib.strip_timing tree = tree))
-        r.Report.measurements
+        r.Report.measurements;
+      let find strategy =
+        List.find
+          (fun m ->
+            m.Report.section = "tab2" && m.Report.backend = "groth16"
+            && m.Report.strategy = strategy)
+          r.Report.measurements
+      in
+      let vanilla = (find "vanilla").Report.ledger
+      and zkvc = (find "crpc+psq").Report.ledger in
+      check_bool "CRPC+PSQ has strictly fewer constraints" true
+        (zkvc.Report.constraints < vanilla.Report.constraints);
+      check_bool "CRPC+PSQ has strictly fewer A-column nonzeros" true
+        (zkvc.Report.nonzero_a < vanilla.Report.nonzero_a);
+      check_bool "CRPC+PSQ has strictly fewer B-column nonzeros" true
+        (zkvc.Report.nonzero_b < vanilla.Report.nonzero_b)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -369,9 +327,7 @@ let () =
         [ Alcotest.test_case "json round-trip" `Quick test_report_roundtrip;
           Alcotest.test_case "regions round-trip (zkvc-bench/3)" `Quick
             test_report_regions_roundtrip;
-          Alcotest.test_case "v2 reports still parse" `Quick test_report_reads_v2;
           Alcotest.test_case "summarize medians and MAD" `Quick test_summarize;
-          Alcotest.test_case "committed baseline BENCH_0003" `Quick test_committed_baseline;
           Alcotest.test_case "committed baseline BENCH_0008" `Quick
             test_committed_baseline_0008 ] );
       ( "diff",

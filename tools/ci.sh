@@ -7,7 +7,10 @@
 # constraint-provenance profile stage on both backends, and an optimiser
 # stage (lib/opt): optimised prove/verify on both backends, a measured
 # nnz win on the ViT profile, and a second perf gate against the
-# optimised baseline BENCH_0009.json.
+# optimised baseline BENCH_0009.json. Later stages smoke the proof
+# service, sweep the adversary, and check amortised verification: offline
+# batch and aggregate round trips, one served Batch_verify request, and a
+# gate against BENCH_0010.json.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -84,15 +87,6 @@ else
     echo "ci: skipping wall-time comparison, still checking cost-ledger equality"
     dune exec tools/perf_diff.exe -- --skip-time "$BASELINE" "$BENCH_JSON"
 fi
-
-# schema compatibility: the previous-generation v2 baseline (no region
-# blocks) must keep diffing against a freshly produced v3 report — the
-# region comparison is skipped when one side lacks the tree, the global
-# ledger still gates. Wall times from the v2 era are not comparable.
-dune exec tools/perf_diff.exe -- --skip-time BENCH_0003.json "$BENCH_JSON" || {
-    echo "ci: v2 baseline no longer diffs against a v3 report" >&2
-    exit 1
-}
 
 echo "== constraint-provenance profile (both backends) =="
 PROF_TMP=$(mktemp -d /tmp/zkvc-profile-ci.XXXXXX)
@@ -465,7 +459,8 @@ echo "== amortised verification: batch + aggregate =="
 # trailing Groth16 proof bytes were spliced from another statement (the
 # combined check must sink and the per-item fallback must isolate it), and
 # an SRS-seed mismatch (the KZG checks on the structured commitment keys
-# must reject).
+# must reject). Then the served batch path: a Batch_verify request to a
+# plain serve.
 AGG_TMP=$(mktemp -d /tmp/zkvc-agg-ci.XXXXXX)
 "$ZKVC_BIN" keygen --backend groth16 --strategy vanilla --dims 2,2,2 \
     --seed 41 --out "$AGG_TMP/k.zkvk" > /dev/null
@@ -520,11 +515,10 @@ grep -q "bad.zkvp: verified: false" "$AGG_TMP/fallback.out" \
     exit 1
 }
 
-# server side: --batch-aggregate coalesces same-key Batch_verify members
-# into one aggregated check; the counters must land in the Prometheus
-# snapshot
+# server side: one Batch_verify request checks all members in one
+# combined check; the batch counters must land in the Prometheus snapshot
 AGG_SOCK="$AGG_TMP/zkvc.sock"
-"$ZKVC_BIN" serve --socket "$AGG_SOCK" --batch-aggregate --metrics \
+"$ZKVC_BIN" serve --socket "$AGG_SOCK" --metrics \
     --metrics-file "$AGG_TMP/metrics.prom" --metrics-interval 0.2 \
     > "$AGG_TMP/serve.log" 2>&1 &
 AGG_PID=$!
@@ -534,7 +528,7 @@ while [ ! -S "$AGG_SOCK" ] && [ "$i" -lt 100 ]; do
     i=$((i + 1))
 done
 if [ ! -S "$AGG_SOCK" ]; then
-    echo "ci: batch-aggregate proof service did not come up" >&2
+    echo "ci: batch proof service did not come up" >&2
     cat "$AGG_TMP/serve.log" >&2
     exit 1
 fi
@@ -555,11 +549,6 @@ done
 sleep 0.5
 "$ZKVC_BIN" client shutdown --socket "$AGG_SOCK" > /dev/null
 wait "$AGG_PID"
-grep -Eq "^zkvc_serve_batch_aggregated_total [1-9]" "$AGG_TMP/metrics.prom" || {
-    echo "ci: serve.batch.aggregated should have fired under --batch-aggregate" >&2
-    cat "$AGG_TMP/metrics.prom" >&2
-    exit 1
-}
 grep -Eq "^zkvc_serve_batch_groups_total [1-9]" "$AGG_TMP/metrics.prom" || {
     echo "ci: serve.batch.groups counter missing from the metrics snapshot" >&2
     exit 1

@@ -1,6 +1,5 @@
-(* Compare two bench reports (Zkvc_obs.Report, schema zkvc-bench/3;
-   zkvc-bench/2 baselines still read) and gate on regressions: the
-   perf-trajectory differ behind tools/ci.sh.
+(* Compare two bench reports (Zkvc_obs.Report, schema zkvc-bench/3) and
+   gate on regressions: the perf-trajectory differ behind tools/ci.sh.
 
    Usage: perf_diff.exe [options] OLD.json NEW.json
      --threshold R   relative prove-time tolerance (default 0.25)
@@ -20,8 +19,8 @@
    constraint-provenance region tree (zkvc-bench/3, bench --profile or
    zkvc_cli profile --json), per-region structural counts are held to
    the same exact-equality bar and a drift note names the owning region;
-   the comparison is skipped when either side lacks the tree, so v2
-   baselines keep diffing.
+   the comparison is skipped when either side lacks the tree (a
+   non-profiled run).
 
    Exit status: 0 = within noise, 1 = regression or ledger drift,
    2 = usage or unreadable/invalid report. *)

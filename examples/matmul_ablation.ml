@@ -12,6 +12,7 @@ module Mspec = Zkvc.Matmul_spec
 module Bld = Zkvc_r1cs.Builder.Make (Fr)
 module Cs = Zkvc_r1cs.Constraint_system.Make (Fr)
 module Lin = Zkvc_r1cs.Lc.Make (Fr)
+module Spec = Mspec.Make (Fr)
 
 (* all Span/Api timings read wall time; the Sys.time default is process
    CPU time, which the span docs warn against (it sums across domains) *)
@@ -21,6 +22,7 @@ let () =
   let d = Mspec.dims ~a:2 ~n:2 ~b:2 in
   let x = [| [| Fr.of_int 1; Fr.of_int 2 |]; [| Fr.of_int 3; Fr.of_int 4 |] |] in
   let w = [| [| Fr.of_int 5; Fr.of_int 6 |]; [| Fr.of_int 7; Fr.of_int 8 |] |] in
+  let y = Spec.multiply x w in
   Printf.printf "X = [[1,2],[3,4]], W = [[5,6],[7,8]], Y = X*W = [[19,22],[43,50]]\n";
   List.iter
     (fun strategy ->
@@ -28,7 +30,7 @@ let () =
         if Mc.uses_challenge strategy then Some (Fr.of_int 1000003) else None
       in
       let b = Bld.create () in
-      let _wires, y = Mcf.build b strategy ?challenge ~x ~w d in
+      ignore (Mcf.build b strategy ?challenge ~x ~w ~y d);
       let cs, assignment = Bld.finalize b in
       Cs.check_satisfied cs assignment;
       let s = Cs.stats cs in
@@ -39,8 +41,7 @@ let () =
         (fun i { Cs.a; b = bb; c; label } ->
           Format.printf "  #%d [%s]: (%a) * (%a) = %a\n" i label Lin.pp a Lin.pp bb
             Lin.pp c)
-        cs.Cs.constraints;
-      ignore y)
+        cs.Cs.constraints)
     Mc.all_strategies;
   Printf.printf
     "\nCRPC: 2 constraints encode all 8 products (paper Fig. 4); PSQ drops the\n";

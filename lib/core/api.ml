@@ -97,7 +97,7 @@ let prepare ?optimize strategy ~x ~w d =
     else None
   in
   let b = Bld.create () in
-  let _wires, _y = Mc.build b strategy ?challenge ~x ~w d in
+  ignore (Mc.build b strategy ?challenge ~x ~w ~y d);
   match optimize with
   | None ->
     let cs, assignment, regions = Bld.finalize_attributed b in
@@ -137,8 +137,9 @@ let circuit_shape ?optimize strategy ?challenge d =
   let challenge = if Matmul_circuit.uses_challenge strategy then challenge else None in
   let x = Array.make_matrix d.Matmul_spec.a d.Matmul_spec.n Fr.zero in
   let w = Array.make_matrix d.Matmul_spec.n d.Matmul_spec.b Fr.zero in
+  let y = Array.make_matrix d.Matmul_spec.a d.Matmul_spec.b Fr.zero in
   let b = Bld.create () in
-  let _wires, _y = Mc.build b strategy ?challenge ~x ~w d in
+  ignore (Mc.build b strategy ?challenge ~x ~w ~y d);
   let cs = fst (Bld.finalize b) in
   match optimize with
   | None -> cs

@@ -91,7 +91,7 @@ module Make (F : Zkvc_field.Field_intf.S) = struct
               B.enforce b ~label:"mm-prod" (lc_of x.(i).(k)) (lc_of w.(k).(j)) (lc_of p);
               p)
         in
-        let sum = List.fold_left (fun acc p -> L.add acc (lc_of p)) L.zero products in
+        let sum = L.of_terms (List.map (fun p -> (p, F.one)) products) in
         B.enforce b ~label:"mm-sum" sum (L.constant F.one) (lc_of y.(i).(j))
       done
     done
@@ -115,41 +115,27 @@ module Make (F : Zkvc_field.Field_intf.S) = struct
       done
     done
 
+  (* [Σ_t z^t · wire t] for [t < len], built in one canonicalising pass
+     ([L.of_terms]); an [add_term] fold is quadratic in [len]. *)
+  let powers_lc z len wire =
+    let coeff = ref F.one and terms = ref [] in
+    for t = 0 to len - 1 do
+      terms := (wire t, !coeff) :: !terms;
+      coeff := F.mul !coeff z
+    done;
+    L.of_terms (List.rev !terms)
+
   (* CRPC factor LCs: L_k = Σ_i Z^{ib} x_ik and R_k = Σ_j Z^j w_kj. *)
   let crpc_factors ~challenge ~x ~w d k =
     let { Matmul_spec.a; n = _; b = bb } = d in
-    let zb = F.pow_int challenge bb in
-    let left =
-      let coeff = ref F.one in
-      let acc = ref L.zero in
-      for i = 0 to a - 1 do
-        acc := L.add_term !acc !coeff x.(i).(k);
-        coeff := F.mul !coeff zb
-      done;
-      !acc
-    in
-    let right =
-      let coeff = ref F.one in
-      let acc = ref L.zero in
-      for j = 0 to bb - 1 do
-        acc := L.add_term !acc !coeff w.(k).(j);
-        coeff := F.mul !coeff challenge
-      done;
-      !acc
-    in
+    let left = powers_lc (F.pow_int challenge bb) a (fun i -> x.(i).(k)) in
+    let right = powers_lc challenge bb (fun j -> w.(k).(j)) in
     (left, right)
 
   (* Σ_{i,j} Z^{ib+j} y_ij *)
   let crpc_output_lc ~challenge ~y d =
     let { Matmul_spec.a; n = _; b = bb } = d in
-    let acc = ref L.zero and coeff = ref F.one in
-    for i = 0 to a - 1 do
-      for j = 0 to bb - 1 do
-        acc := L.add_term !acc !coeff y.(i).(j);
-        coeff := F.mul !coeff challenge
-      done
-    done;
-    !acc
+    powers_lc challenge (a * bb) (fun t -> y.(t / bb).(t mod bb))
 
   let constrain_crpc b ~challenge ~x ~w ~y d =
     let { Matmul_spec.n; _ } = d in
@@ -160,7 +146,7 @@ module Make (F : Zkvc_field.Field_intf.S) = struct
           B.enforce b ~label:"crpc-term" left right (lc_of u);
           lc_of u)
     in
-    let sum = List.fold_left L.add L.zero terms in
+    let sum = L.of_terms (List.concat_map L.terms terms) in
     B.enforce b ~label:"crpc-bind" sum (L.constant F.one) (crpc_output_lc ~challenge ~y d)
 
   let constrain_crpc_psq b ~challenge ~x ~w ~y d =
@@ -192,12 +178,14 @@ module Make (F : Zkvc_field.Field_intf.S) = struct
 
   (** Allocate wires for X, W and Y = X·W and add the constraints of the
       chosen [strategy]. [challenge] is required by the CRPC variants.
-      [x] and [w] default to private witness; [y] to public outputs. *)
+      [x] and [w] default to private witness; [y], the caller's X·W, to
+      public outputs. *)
   let build b strategy ?challenge ?(x_public = false) ?(w_public = false)
-      ?(y_public = true) ~x:x_values ~w:w_values d =
-    if not (Spec.check_dims d x_values w_values) then
-      invalid_arg "Matmul_circuit.build: dimension mismatch";
-    let y_values = Spec.multiply x_values w_values in
+      ?(y_public = true) ~x:x_values ~w:w_values ~y:y_values d =
+    if not (Spec.check_dims d x_values w_values)
+       || Array.length y_values <> d.Matmul_spec.a
+       || not (Array.for_all (fun row -> Array.length row = d.Matmul_spec.b) y_values)
+    then invalid_arg "Matmul_circuit.build: dimension mismatch";
     let x, w, y =
       B.in_region b "matmul/alloc" (fun () ->
           let x = alloc_matrix b ~public:x_public x_values in
@@ -206,5 +194,5 @@ module Make (F : Zkvc_field.Field_intf.S) = struct
           (x, w, y))
     in
     constrain b strategy ?challenge ~x ~w ~y d;
-    ({ x; w; y }, y_values)
+    { x; w; y }
 end

@@ -56,7 +56,9 @@ module Make (F : Zkvc_field.Field_intf.S) : sig
 
   (** Allocate wires for X, W and Y = X·W and add the constraints of the
       chosen strategy. [x]/[w] default to private witness, [y] to public
-      outputs. Returns the wires and the computed Y. *)
+      outputs. The caller supplies [y] = X·W, which CRPC callers already
+      hold to derive the challenge; a wrong [y] makes the system
+      unsatisfiable. Raises [Invalid_argument] on mismatched dimensions. *)
   val build :
     B.t ->
     strategy ->
@@ -66,6 +68,7 @@ module Make (F : Zkvc_field.Field_intf.S) : sig
     ?y_public:bool ->
     x:F.t array array ->
     w:F.t array array ->
+    y:F.t array array ->
     Matmul_spec.dims ->
-    wires * F.t array array
+    wires
 end

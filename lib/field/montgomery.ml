@@ -21,6 +21,9 @@ end) : Field_intf.S = struct
   let k = (bits + limb_bits - 1) / limb_bits
   let size_in_bytes = (bits + 7) / 8
 
+  (* a product-scanning column sums up to 2k products below 2^52 *)
+  let () = assert (2 * k < 1 lsl (62 - (2 * limb_bits)))
+
   let limbs_of_bigint n =
     let a = Array.make k 0 in
     let rec go n i =
@@ -42,10 +45,10 @@ end) : Field_intf.S = struct
     !acc
 
   let p_limbs = limbs_of_bigint modulus
+  let p0 = p_limbs.(0)
 
   (* -p[0]^{-1} mod 2^26, via Newton iteration on the odd limb. *)
   let n0' =
-    let p0 = p_limbs.(0) in
     let x = ref 1 in
     for _ = 1 to 5 do
       x := (!x * (2 - (p0 * !x))) land limb_mask
@@ -56,10 +59,12 @@ end) : Field_intf.S = struct
     let r = Bigint.shift_left Bigint.one (limb_bits * k) in
     limbs_of_bigint (Bigint.erem (Bigint.mul r r) modulus)
 
+  (* t >= p, comparing from the top limb down; a loop, so no closure is
+     allocated on every [mul] and [add]. *)
   let geq_p t =
-    (* compare t (k limbs) with p *)
-    let rec go i = if i < 0 then true else if t.(i) <> p_limbs.(i) then t.(i) > p_limbs.(i) else go (i - 1) in
-    go (k - 1)
+    let i = ref (k - 1) in
+    while !i >= 0 && t.(!i) = p_limbs.(!i) do decr i done;
+    !i < 0 || t.(!i) > p_limbs.(!i)
 
   let sub_p_inplace t =
     let borrow = ref 0 in
@@ -69,46 +74,58 @@ end) : Field_intf.S = struct
       else begin t.(i) <- s; borrow := 0 end
     done
 
-  (* CIOS Montgomery multiplication (Koç–Acar–Kaliski). *)
+  (* Finely integrated product scanning (FIPS; Koç–Acar–Kaliski, IEEE Micro
+     1996). Column c of a·b + m·p is summed in one native int and carried
+     once: a column holds at most 2k products below 2^52 plus a carry below
+     2^31, so it stays under 2^57 for k = 10 (and under 2^62 for any k the
+     assertion above admits).
+     m_i is kept in slot i of the result: column i+k is the first to write
+     that slot, and no column from i+k on reads m_i (its j starts at i+1).
+     After the length check every index below is in range by the loop
+     bounds (0 <= j, i-j, c-k, c-j <= k-1), hence the unsafe accesses. The
+     result is the only allocation, so the kernel is safe on any domain. *)
   let mont_mul a b =
     if !obs_on then Atomic.incr mul_metric.Zkvc_obs.Metrics.value;
-    let t = Array.make (k + 2) 0 in
+    if Array.length a <> k || Array.length b <> k then
+      invalid_arg "Montgomery.mul: operand of the wrong length";
+    let r = Array.make k 0 in
+    let acc = ref 0 in
     for i = 0 to k - 1 do
-      let ai = a.(i) in
-      let c = ref 0 in
-      for j = 0 to k - 1 do
-        let s = t.(j) + (ai * b.(j)) + !c in
-        t.(j) <- s land limb_mask;
-        c := s lsr limb_bits
+      let s = ref !acc in
+      for j = 0 to i - 1 do
+        s :=
+          !s
+          + (Array.unsafe_get a j * Array.unsafe_get b (i - j))
+          + (Array.unsafe_get r j * Array.unsafe_get p_limbs (i - j))
       done;
-      let s = t.(k) + !c in
-      t.(k) <- s land limb_mask;
-      t.(k + 1) <- s lsr limb_bits;
-      let m = (t.(0) * n0') land limb_mask in
-      let s = t.(0) + (m * p_limbs.(0)) in
-      c := s lsr limb_bits;
-      for j = 1 to k - 1 do
-        let s = t.(j) + (m * p_limbs.(j)) + !c in
-        t.(j - 1) <- s land limb_mask;
-        c := s lsr limb_bits
-      done;
-      let s = t.(k) + !c in
-      t.(k - 1) <- s land limb_mask;
-      c := s lsr limb_bits;
-      t.(k) <- t.(k + 1) + !c;
-      t.(k + 1) <- 0
+      let s = !s + (Array.unsafe_get a i * Array.unsafe_get b 0) in
+      (* s * n0' wraps mod 2^63, but its low 26 bits are exact *)
+      let m = (s * n0') land limb_mask in
+      Array.unsafe_set r i m;
+      acc := (s + (m * p0)) lsr limb_bits
     done;
-    let r = Array.sub t 0 k in
-    if t.(k) <> 0 || geq_p r then sub_p_inplace r;
+    for c = k to (2 * k) - 1 do
+      let s = ref !acc in
+      for j = c - k + 1 to k - 1 do
+        s :=
+          !s
+          + (Array.unsafe_get a j * Array.unsafe_get b (c - j))
+          + (Array.unsafe_get r j * Array.unsafe_get p_limbs (c - j))
+      done;
+      Array.unsafe_set r (c - k) (!s land limb_mask);
+      acc := !s lsr limb_bits
+    done;
+    if !acc <> 0 || geq_p r then sub_p_inplace r;
     r
 
   let zero = Array.make k 0
 
+  (* the integer 1 as raw limbs: [mont_mul a one_raw] leaves Montgomery
+     form, giving the canonical limbs of the value *)
+  let one_raw = Array.init k (fun i -> if i = 0 then 1 else 0)
+
   let of_bigint n = mont_mul (limbs_of_bigint (Bigint.erem n modulus)) r2
-  let to_bigint a =
-    let one_raw = Array.make k 0 in
-    one_raw.(0) <- 1;
-    bigint_of_limbs (mont_mul a one_raw)
+  let to_bigint a = bigint_of_limbs (mont_mul a one_raw)
 
   let one = of_bigint Bigint.one
 
@@ -192,7 +209,25 @@ end) : Field_intf.S = struct
 
   let random st = of_bigint (Bigint.random st modulus)
 
-  let to_bytes a = Bigint.to_bytes_be (to_bigint a) size_in_bytes
+  (* Big-endian, straight from the canonical limbs: the 26-bit limbs stream
+     least significant first through a bit buffer of at most 33 bits, and
+     bytes fill from the end. Same bytes as [Bigint.to_bytes_be]. *)
+  let to_bytes a =
+    let v = mont_mul a one_raw in
+    let out = Bytes.make size_in_bytes '\000' in
+    let buf = ref 0 and nbits = ref 0 and pos = ref (size_in_bytes - 1) in
+    for i = 0 to k - 1 do
+      buf := !buf lor (v.(i) lsl !nbits);
+      nbits := !nbits + limb_bits;
+      while !nbits >= 8 && !pos >= 0 do
+        Bytes.set out !pos (Char.unsafe_chr (!buf land 0xff));
+        buf := !buf lsr 8;
+        nbits := !nbits - 8;
+        decr pos
+      done
+    done;
+    if !pos >= 0 then Bytes.set out !pos (Char.unsafe_chr (!buf land 0xff));
+    out
 
   let of_bytes_exn b =
     if Bytes.length b <> size_in_bytes then invalid_arg "Montgomery.of_bytes_exn: bad length";

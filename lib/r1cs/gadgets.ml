@@ -45,9 +45,9 @@ module Make (F : Zkvc_field.Field_intf.S) = struct
         in
         let sum =
           List.fold_left
-            (fun (acc, p2) bit -> (L.add_term acc p2 bit, F.double p2))
-            (L.zero, F.one) bits
-          |> fst
+            (fun (terms, p2) bit -> ((bit, p2) :: terms, F.double p2))
+            ([], F.one) bits
+          |> fst |> L.of_terms
         in
         assert_equal b sum x;
         bits)

@@ -140,8 +140,7 @@ module Make (F : Zkvc_field.Field_intf.S) = struct
           Some (Mc.derive_challenge ~x ~w ~y)
         else None
       in
-      let _ = Mc.build b strategy ?challenge ~x ~w ~y_public:false d in
-      ()
+      ignore (Mc.build b strategy ?challenge ~x ~w ~y ~y_public:false d)
     | Ops.Op_rescale n ->
       in_op (fun () ->
           for _ = 1 to n do

@@ -98,7 +98,7 @@ let linear_layer_circuit ?(strategy = Zkvc.Matmul_circuit.Crpc_psq) cfg ~x ~w d 
       Some (Lc.Mc.derive_challenge ~x:xf ~w:wf ~y:yf)
     else None
   in
-  let wires, _ = Lc.Mc.build b strategy ?challenge ~y_public:false ~x:xf ~w:wf d in
+  let wires = Lc.Mc.build b strategy ?challenge ~y_public:false ~x:xf ~w:wf ~y:yf d in
   let outputs =
     Array.map (Array.map (fun yw -> Lc.rescale b cfg (Lin.of_var yw))) wires.Lc.Mc.y
   in

@@ -30,10 +30,10 @@ struct
       else None
     in
     let b = Bld.create () in
-    let wires, y' = Mc.build b strategy ?challenge ~x ~w d in
+    let wires = Mc.build b strategy ?challenge ~x ~w ~y d in
     let cs, assignment = Bld.finalize b in
     Cs.check_satisfied cs assignment;
-    (cs, assignment, wires, x, w, y, y')
+    (cs, assignment, wires, x, w, y)
 
   let dims_list = [ Mspec.dims ~a:2 ~n:3 ~b:2; Mspec.dims ~a:3 ~n:4 ~b:5; Mspec.dims ~a:1 ~n:1 ~b:1; Mspec.dims ~a:4 ~n:8 ~b:4 ]
 
@@ -52,7 +52,7 @@ struct
       (fun strategy ->
         List.iter
           (fun d ->
-            let cs, _, _, _, _, _, _ = build_and_check strategy d in
+            let cs, _, _, _, _, _ = build_and_check strategy d in
             check_int
               (n (Printf.sprintf "%s %s" (Mcirc.strategy_name strategy)
                     (Format.asprintf "%a" Mspec.pp_dims d)))
@@ -66,7 +66,7 @@ struct
     let counts =
       List.map
         (fun s ->
-          let cs, _, _, _, _, _, _ = build_and_check s d in
+          let cs, _, _, _, _, _ = build_and_check s d in
           (s, Cs.num_constraints cs))
         Mcirc.all_strategies
     in
@@ -79,7 +79,7 @@ struct
   let test_psq_reduces_variables_and_left_wires () =
     let d = Mspec.dims ~a:4 ~n:8 ~b:4 in
     let stats s =
-      let cs, _, _, _, _, _, _ = build_and_check s d in
+      let cs, _, _, _, _, _ = build_and_check s d in
       Cs.stats cs
     in
     let vanilla = stats Mcirc.Vanilla and vpsq = stats Mcirc.Vanilla_psq in
@@ -108,7 +108,7 @@ struct
           else None
         in
         let b = Bld.create () in
-        let wires, _ = Mc.build b strategy ?challenge ~x ~w d in
+        let wires = Mc.build b strategy ?challenge ~x ~w ~y d in
         (* overwrite the y wires' assignment with the corrupted values:
            rebuild manually by constructing a raw assignment *)
         let cs, assignment = Bld.finalize b in
@@ -131,10 +131,11 @@ struct
     let d = Mspec.dims ~a:3 ~n:5 ~b:4 in
     let x = Spec.random_matrix st ~rows:3 ~cols:5 ~bound:100 in
     let w = Spec.random_matrix st ~rows:5 ~cols:4 ~bound:100 in
+    let y = Spec.multiply x w in
     for _ = 1 to 10 do
       let challenge = F.random st in
       let b = Bld.create () in
-      let _ = Mc.build b Mcirc.Crpc_psq ~challenge ~x ~w d in
+      let _ = Mc.build b Mcirc.Crpc_psq ~challenge ~x ~w ~y d in
       let cs, assignment = Bld.finalize b in
       Cs.check_satisfied cs assignment
     done
@@ -218,7 +219,7 @@ struct
       ~count:30 arb (fun d ->
         List.for_all
           (fun strategy ->
-            let cs, _, _, _, _, _, _ = build_and_check strategy d in
+            let cs, _, _, _, _, _ = build_and_check strategy d in
             Cs.num_constraints cs = Mcirc.expected_constraints strategy d)
           Mcirc.all_strategies)
 

@@ -48,7 +48,45 @@ struct
       t2 "add matches bigint" (fun (x, y) ->
           B.equal
             (F.to_bigint (F.add x y))
-            (B.erem (B.add (F.to_bigint x) (F.to_bigint y)) F.modulus)) ]
+            (B.erem (B.add (F.to_bigint x) (F.to_bigint y)) F.modulus));
+      t "to_bytes matches bigint" (fun x ->
+          Bytes.equal (F.to_bytes x) (B.to_bytes_be (F.to_bigint x) F.size_in_bytes)) ]
+
+  (* Edge operands for the multiply, checked against the Bigint reference
+     x·y mod p: 0, 1, p−1, p−2, 2^26−1 and 2^(26(k−1)) (k = number of
+     26-bit limbs of p), and (p−1) times each. Every value v also appears
+     as v·R⁻¹ mod p (R = 2^(26k)), whose Montgomery limbs are v's own, so
+     the kernel sees the same extremes as raw limbs. *)
+  let edge_operands =
+    let p = F.modulus in
+    let k = (B.num_bits p + 25) / 26 in
+    let pm1 = B.sub p B.one in
+    let base =
+      [ B.zero; B.one; pm1; B.sub p B.two;
+        B.sub (B.shift_left B.one 26) B.one;
+        B.shift_left B.one (26 * (k - 1)) ]
+    in
+    let base = base @ List.map (fun v -> B.erem (B.mul pm1 v) p) base in
+    let r_inv = F.to_bigint (F.inv (F.of_bigint (B.shift_left B.one (26 * k)))) in
+    base @ List.map (fun v -> B.erem (B.mul v r_inv) p) base
+
+  let test_mul_edges () =
+    let p = F.modulus in
+    List.iter
+      (fun x ->
+        List.iter
+          (fun y ->
+            let got = F.to_bigint (F.mul (F.of_bigint x) (F.of_bigint y)) in
+            let want = B.erem (B.mul x y) p in
+            if not (B.equal got want) then
+              Alcotest.failf "%s * %s: got %s, want %s" (B.to_string x) (B.to_string y)
+                (B.to_string got) (B.to_string want))
+          edge_operands;
+        Alcotest.(check bool) "to_bytes" true
+          (Bytes.equal
+             (F.to_bytes (F.of_bigint x))
+             (B.to_bytes_be (B.erem x p) F.size_in_bytes)))
+      edge_operands
 
   module Sqrt = Zkvc_field.Sqrt.Make (F)
 
@@ -81,7 +119,8 @@ struct
           Alcotest.(check bool) "w^(2^s) = 1" true (F.is_one (pow2 s));
           Alcotest.(check bool) "w^(2^(s-1)) <> 1" true (not (F.is_one (pow2 (s - 1)))));
       Alcotest.test_case "inv zero raises" `Quick (fun () ->
-          Alcotest.check_raises "inv 0" Division_by_zero (fun () -> ignore (F.inv F.zero))) ]
+          Alcotest.check_raises "inv 0" Division_by_zero (fun () -> ignore (F.inv F.zero)));
+      Alcotest.test_case "mul on edge operands matches bigint" `Quick test_mul_edges ]
 
   let suite =
     (Name.name, unit_tests @ List.map QCheck_alcotest.to_alcotest (props @ sqrt_props))

@@ -57,7 +57,7 @@ let tests =
         let w_comm = Kzg.commit_matrix srs w in
         let challenge = Kzg.derive_challenge w_comm ~x ~y in
         let b = Bld.create () in
-        let _ = Mcf.build b Mc.Crpc_psq ~challenge ~x ~w d in
+        let _ = Mcf.build b Mc.Crpc_psq ~challenge ~x ~w ~y d in
         let cs, assignment = Bld.finalize b in
         Cs.check_satisfied cs assignment;
         (* different W (hence different commitment) gives a different

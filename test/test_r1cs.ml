@@ -183,6 +183,25 @@ struct
             L.num_terms collapsed <= 1
             && at collapsed = F.to_string (L.eval lc (Array.make 8 assign.(1)))))
 
+  (* [of_terms] is the one-pass replacement for an [add_term] fold when
+     synthesis builds long combinations, so the two must give the very same
+     canonical terms. Each draw is followed by the negation of a prefix, so
+     duplicate wires and fully cancelling terms both occur. *)
+  let prop_of_terms_is_fold =
+    QCheck.Test.make ~name:(n "of_terms equals the add_term fold") ~count:300
+      (QCheck.pair
+         (QCheck.list_of_size (QCheck.Gen.int_range 0 16)
+            (QCheck.pair (QCheck.int_range 0 7) (QCheck.int_range (-4) 4)))
+         QCheck.small_nat)
+      (fun (raw, cut) ->
+        let terms = List.map (fun (v, c) -> (v, F.of_int c)) raw in
+        let negated = List.filteri (fun i _ -> i < cut) terms in
+        let terms = terms @ List.map (fun (v, c) -> (v, F.neg c)) negated in
+        let folded = List.fold_left (fun acc (v, c) -> L.add_term acc c v) L.zero terms in
+        let same (v1, c1) (v2, c2) = v1 = v2 && F.equal c1 c2 in
+        let a = L.terms (L.of_terms terms) and b = L.terms folded in
+        List.length a = List.length b && List.for_all2 same a b)
+
   let test_stats () =
     let b = Bld.create () in
     let x = Bld.alloc b (F.of_int 2) in
@@ -209,6 +228,7 @@ struct
         Alcotest.test_case (n "product") `Quick test_product;
         Alcotest.test_case (n "stats") `Quick test_stats;
         QCheck_alcotest.to_alcotest prop_of_terms_canonical;
+        QCheck_alcotest.to_alcotest prop_of_terms_is_fold;
         QCheck_alcotest.to_alcotest prop_random_linear_circuits ] )
 
   let _ = st

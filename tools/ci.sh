@@ -1,16 +1,17 @@
 #!/bin/sh
-# CI entry point: full build, tier-1 test suites at two job counts, a
-# paired smoke bench (sequential vs parallel) that must produce non-empty
-# machine-readable reports and a sane speedup ratio, a noise-aware perf
-# gate that diffs the sequential smoke report against the committed
-# baseline (BENCH_0008.json, region-profiled) with tools/perf_diff, a
-# constraint-provenance profile stage on both backends, and an optimiser
-# stage (lib/opt): optimised prove/verify on both backends, a measured
-# nnz win on the ViT profile, and a second perf gate against the
-# optimised baseline BENCH_0009.json. Later stages smoke the proof
-# service, sweep the adversary, and check amortised verification: offline
-# batch and aggregate round trips, one served Batch_verify request, and a
-# gate against BENCH_0010.json.
+# CI entry point: full build, tier-1 test suites at two job counts, the
+# perfbench smoke test (every BENCHMARK.json workload at tiny size, its
+# correctness gate and fault injection), a paired smoke bench (sequential
+# vs parallel) that must produce non-empty machine-readable reports and a
+# sane speedup ratio, a noise-aware perf gate that diffs the sequential
+# smoke report against the committed baseline (BENCH_0008.json,
+# region-profiled) with tools/perf_diff, a constraint-provenance profile
+# stage on both backends, and an optimiser stage (lib/opt): optimised
+# prove/verify on both backends, a measured nnz win on the ViT profile,
+# and a second perf gate against the optimised baseline BENCH_0009.json.
+# Later stages smoke the proof service, sweep the adversary, and check
+# amortised verification: offline batch and aggregate round trips, one
+# served Batch_verify request, and a gate against BENCH_0010.json.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -25,6 +26,9 @@ ZKVC_JOBS=1 dune runtest --force
 
 echo "== dune runtest (jobs=max, nproc=$NPROC) =="
 ZKVC_JOBS=0 dune runtest --force
+
+echo "== perfbench smoke (every workload, gate, fault injection) =="
+dune build @perfbench/test/perfbench-smoke
 
 echo "== smoke bench (tab2, scale 16, repeat 3, jobs=1 vs jobs=max) =="
 BENCH_JSON=${BENCH_JSON:-/tmp/bench.json}

@@ -3,8 +3,6 @@
     sumcheck phases work with. *)
 
 module Make (F : Zkvc_field.Field_intf.S) = struct
-  module M = Zkvc_poly.Multilinear.Make (F)
-
   type entry = { row : int; col : int; value : F.t }
 
   type t =
@@ -42,24 +40,15 @@ module Make (F : Zkvc_field.Field_intf.S) = struct
       t.entries;
     out
 
-  (** Direct evaluation of the MLE at an arbitrary point, in
-      O(nnz · (µ + ν)): Ã(rx, ry) = Σ entries value·χ_row(rx)·χ_col(ry).
-      This is the O(n) verifier of SpartanNIZK. *)
-  let eval t ~rx ~ry =
-    if List.length rx <> t.mu || List.length ry <> t.nu then
-      invalid_arg "Sparse_matrix.eval: arity";
-    let chi point nbits idx =
-      (* variable 0 = most significant bit, matching Multilinear *)
-      let acc = ref F.one in
-      List.iteri
-        (fun i r ->
-          let bit = (idx lsr (nbits - 1 - i)) land 1 in
-          acc := F.mul !acc (if bit = 1 then r else F.sub F.one r))
-        point;
-      !acc
-    in
+  (** Evaluate the MLE at (rx, ry) from the tables [row_w = eq̃(rx,·)]
+      (length 2^µ) and [col_w = eq̃(ry,·)] (length 2^ν):
+      Ã(rx, ry) = Σ entries value·row_w.(row)·col_w.(col), two
+      multiplications per nonzero. This is the O(nnz) verifier of
+      SpartanNIZK. *)
+  let eval_tables t ~row_w ~col_w =
+    if Array.length row_w <> 1 lsl t.mu || Array.length col_w <> 1 lsl t.nu then
+      invalid_arg "Sparse_matrix.eval_tables: length";
     List.fold_left
-      (fun acc { row; col; value } ->
-        F.add acc (F.mul value (F.mul (chi rx t.mu row) (chi ry t.nu col))))
+      (fun acc { row; col; value } -> F.add acc (F.mul (F.mul value row_w.(row)) col_w.(col)))
       F.zero t.entries
 end

@@ -20,7 +20,10 @@ module Make (F : Zkvc_field.Field_intf.S) : sig
       phase-two sumcheck table [y ↦ Σ_x eq̃(rx,x)·M̃(x,y)]. *)
   val fold_rows : t -> F.t array -> F.t array
 
-  (** Direct evaluation of the MLE at an arbitrary point in
-      O(nnz·(µ+ν)) — the SpartanNIZK verifier's work. *)
-  val eval : t -> rx:F.t list -> ry:F.t list -> F.t
+  (** [eval_tables t ~row_w ~col_w] is Ã(rx, ry) given the tables
+      [row_w = eq̃(rx,·)] (length 2^µ) and [col_w = eq̃(ry,·)] (length 2^ν):
+      two multiplications per nonzero, so O(nnz) once the tables
+      (O(2^µ + 2^ν)) are built — the SpartanNIZK verifier's work. Raises
+      [Invalid_argument] on a table of the wrong length. *)
+  val eval_tables : t -> row_w:F.t array -> col_w:F.t array -> F.t
 end

@@ -265,15 +265,6 @@ let build_z t assignment =
   done;
   z
 
-(* χ_idx(point): Lagrange basis of the hypercube at a boolean index. *)
-let chi point nbits idx =
-  List.fold_left
-    (fun (acc, i) r ->
-      let bit = (idx lsr (nbits - 1 - i)) land 1 in
-      (Fr.mul acc (if bit = 1 then r else Fr.sub Fr.one r), i + 1))
-    (Fr.one, 0) point
-  |> fst
-
 let transcript_init t ~public_inputs =
   let tr = T.create ~label:"zkvc.spartan" in
   T.absorb_int tr ~label:"mu" t.mu;
@@ -411,7 +402,12 @@ let verify_deferred key t ~public_inputs proof =
   if List.length public_inputs <> t.num_inputs then None
   else begin
     let nrows = 1 lsl key.wrows and ncols = 1 lsl key.wcols in
-    if Array.length proof.comm_rows <> nrows then None
+    (* the round counts fix the lengths of rx and ry, and so the sizes of
+       the eq̃ tables built from them: check them before any table *)
+    if Array.length proof.comm_rows <> nrows
+       || List.length proof.sc1 <> t.mu
+       || List.length proof.sc2 <> t.nu
+    then None
     else begin
       let tr = transcript_init t ~public_inputs in
       Array.iter (fun c -> T.absorb_bytes tr ~label:"comm" (G1.to_bytes c)) proof.comm_rows;
@@ -435,12 +431,16 @@ let verify_deferred key t ~public_inputs proof =
           match Sc.verify tr ~label:"sc2" ~degree:2 ~claim:claim2 proof.sc2 with
           | None -> None
           | Some (e2, ry) ->
-            (* combined matrix MLE at (rx, ry), O(nnz) *)
-            let m_eval =
+            (* combined matrix MLE at (rx, ry) from the eq̃ tables:
+               O(2^µ + 2^ν) to build them, then two multiplications per
+               nonzero. The column table also serves the public half of z̃. *)
+            let m_eval, col_w =
               Span.with_span "verify.matrix_eval" (fun () ->
-                  Fr.add
-                    (Fr.mul ra (Sm.eval t.a ~rx ~ry))
-                    (Fr.add (Fr.mul rb (Sm.eval t.b ~rx ~ry)) (Fr.mul rc (Sm.eval t.c ~rx ~ry))))
+                  let row_w = Ml.evals (Ml.eq_table rx)
+                  and col_w = Ml.evals (Ml.eq_table ry) in
+                  let ev m = Sm.eval_tables m ~row_w ~col_w in
+                  ( Fr.add (Fr.mul ra (ev t.a)) (Fr.add (Fr.mul rb (ev t.b)) (Fr.mul rc (ev t.c))),
+                    col_w ))
             in
             match ry with
             | [] -> None
@@ -487,18 +487,14 @@ let verify_deferred key t ~public_inputs proof =
               match opening_opt with
               | None -> None
               | Some (w_eval, d) ->
-                (* public half: [1; io; 0...] evaluated directly *)
-                let k = t.nu - 1 in
-                let pub_eval = ref (chi ry_w k 0) in
+                (* public half [1; io; 0...]: for c < half,
+                   col_w.(c) = (1 − ry0)·χ_c(ry_w), so Σ_c col_w.(c)·z_c
+                   is already the (1 − ry0)-weighted public term *)
+                let pub_eval = ref col_w.(0) in
                 List.iteri
-                  (fun i x ->
-                    pub_eval := Fr.add !pub_eval (Fr.mul x (chi ry_w k (i + 1))))
+                  (fun i x -> pub_eval := Fr.add !pub_eval (Fr.mul x col_w.(i + 1)))
                   public_inputs;
-                let z_eval =
-                  Fr.add
-                    (Fr.mul (Fr.sub Fr.one ry0) !pub_eval)
-                    (Fr.mul ry0 w_eval)
-                in
+                let z_eval = Fr.add !pub_eval (Fr.mul ry0 w_eval) in
                 if Fr.equal e2 (Fr.mul m_eval z_eval) then Some d else None
         end
     end

@@ -12,7 +12,10 @@
       see DESIGN.md substitution 2);
     - the public half is evaluated directly by the verifier.
 
-    Verification is O(nnz) field work plus one O(√n) MSM. *)
+    Verification is O(nnz + 2^µ + 2^ν) field work — Ã, B̃, C̃ and the
+    public half of z̃ are read off the tables eq̃(rx,·) and eq̃(ry,·),
+    two multiplications per nonzero — plus one O(√n) MSM for the
+    witness opening (2^µ padded constraints, 2^ν padded z length). *)
 
 module Fr = Zkvc_field.Fr
 module Cs : module type of Zkvc_r1cs.Constraint_system.Make (Fr)

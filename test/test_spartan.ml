@@ -10,6 +10,10 @@ module Bld = Zkvc_r1cs.Builder.Make (Fr)
 module G = Zkvc_r1cs.Gadgets.Make (Fr)
 module Pedersen = Zkvc_spartan.Pedersen
 module G1 = Zkvc_curve.G1
+module Api = Zkvc.Api
+module Mc = Zkvc.Matmul_circuit
+module Mspec = Zkvc.Matmul_spec
+module Spec = Mspec.Make (Fr)
 
 let st = Random.State.make [| 99; 100 |]
 let check_bool = Alcotest.(check bool)
@@ -54,6 +58,37 @@ let sumcheck_tests =
 
 (* ---------------- sparse matrices ---------------- *)
 
+(* Oracle for the verifier's table-based evaluation: the per-entry
+   Lagrange evaluator, recomputing χ_row(rx)·χ_col(ry) for every nonzero
+   in O(nnz·(µ+ν)). Variable 0 is the most significant index bit,
+   matching Multilinear. *)
+let chi point nbits idx =
+  List.fold_left
+    (fun (acc, i) r ->
+      let bit = (idx lsr (nbits - 1 - i)) land 1 in
+      (Fr.mul acc (if bit = 1 then r else Fr.sub Fr.one r), i + 1))
+    (Fr.one, 0) point
+  |> fst
+
+let oracle_eval ~mu ~nu entries ~rx ~ry =
+  List.fold_left
+    (fun acc { Sm.row; col; value } ->
+      Fr.add acc (Fr.mul value (Fr.mul (chi rx mu row) (chi ry nu col))))
+    Fr.zero entries
+
+let table_eval m ~rx ~ry =
+  Sm.eval_tables m ~row_w:(Ml.evals (Ml.eq_table rx)) ~col_w:(Ml.evals (Ml.eq_table ry))
+
+let random_point rng n = List.init n (fun _ -> Fr.random rng)
+
+let qtest ?(count = 200) name prop gen =
+  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name prop gen)
+
+(* (µ, ν, seed): the entry list, its size and the point all come from the
+   seed; the size may be zero and, with µ, ν small, (row, col) repeats *)
+let gen_shape =
+  QCheck.(triple (int_range 1 5) (int_range 1 5) (int_bound 1_000_000))
+
 let sparse_tests =
   [ Alcotest.test_case "mul_vec and eval agree" `Quick (fun () ->
         let mu = 3 and nu = 4 in
@@ -75,20 +110,72 @@ let sparse_tests =
         let rhs = ref Fr.zero in
         Array.iteri (fun j v -> rhs := Fr.add !rhs (Fr.mul v z.(j))) folded;
         check_bool "fold_rows consistent" true (Fr.equal lhs !rhs);
-        (* direct eval at boolean points matches entries *)
+        (* M̃(rx, ry) = Σ_y (rxᵀ·M)(y)·eq̃(ry, y) *)
         let ry = List.init nu (fun _ -> Fr.random st) in
-        let direct = Sm.eval m ~rx ~ry in
-        let via_fold =
-          let acc = ref Fr.zero in
-          Array.iteri
-            (fun j v ->
-              let bits = List.init nu (fun i -> if (j lsr (nu - 1 - i)) land 1 = 1 then Fr.one else Fr.zero) in
-              ignore bits;
-              acc := Fr.add !acc (Fr.mul v (Ml.eval (Ml.of_evals (Array.init (1 lsl nu) (fun jj -> if jj = j then Fr.one else Fr.zero))) ry)))
-            folded;
-          !acc
+        let direct = table_eval m ~rx ~ry in
+        let eq_ry = Ml.evals (Ml.eq_table ry) in
+        let via_fold = ref Fr.zero in
+        Array.iteri (fun j v -> via_fold := Fr.add !via_fold (Fr.mul v eq_ry.(j))) folded;
+        check_bool "eval consistent" true (Fr.equal direct !via_fold));
+    qtest "eval_tables matches the per-entry oracle" gen_shape (fun (mu, nu, seed) ->
+        let rng = Random.State.make [| seed |] in
+        let entry () =
+          { Sm.row = Random.State.int rng (1 lsl mu);
+            col = Random.State.int rng (1 lsl nu);
+            value = Fr.random rng }
         in
-        check_bool "eval consistent" true (Fr.equal direct via_fold)) ]
+        let random_entries = List.init (Random.State.int rng 12) (fun _ -> entry ()) in
+        let last_row = (1 lsl mu) - 1 and last_col = (1 lsl nu) - 1 in
+        let dup = entry () in
+        let edges =
+          [ { (entry ()) with Sm.row = last_row };
+            { (entry ()) with Sm.col = last_col };
+            { Sm.row = last_row; col = last_col; value = Fr.random rng };
+            dup;
+            { dup with Sm.value = Fr.random rng } ]
+        in
+        let rx = random_point rng mu and ry = random_point rng nu in
+        List.for_all
+          (fun entries ->
+            Fr.equal
+              (table_eval (Sm.create ~mu ~nu entries) ~rx ~ry)
+              (oracle_eval ~mu ~nu entries ~rx ~ry))
+          [ []; random_entries; edges; random_entries @ edges ]);
+    Alcotest.test_case "eval_tables rejects a table of the wrong length" `Quick (fun () ->
+        let m = Sm.create ~mu:2 ~nu:3 [] in
+        let tbl n = Array.make n Fr.one in
+        List.iter
+          (fun (rows, cols) ->
+            check_bool "raises" true
+              (match Sm.eval_tables m ~row_w:(tbl rows) ~col_w:(tbl cols) with
+               | exception Invalid_argument _ -> true
+               | _ -> false))
+          [ (8, 8); (4, 4); (2, 8) ]);
+    (* the verifier's public term of z̃ = [1; io; 0… | w]: Σ_c col_w.(c)·z_c
+       over the public half equals (1 − ry0)·Σ_c z_c·χ_c(ry_w) *)
+    qtest "public term from the column table matches the chi formula"
+      QCheck.(pair (int_range 1 6) (int_bound 1_000_000))
+      (fun (nu, seed) ->
+        let rng = Random.State.make [| seed |] in
+        let half = 1 lsl (nu - 1) in
+        let io = List.init (Random.State.int rng half) (fun _ -> Fr.random rng) in
+        let ry = random_point rng nu in
+        let col_w = Ml.evals (Ml.eq_table ry) in
+        let via_table =
+          List.fold_left
+            (fun (acc, c) x -> (Fr.add acc (Fr.mul x col_w.(c)), c + 1))
+            (col_w.(0), 1) io
+          |> fst
+        in
+        let ry0, ry_w = (List.hd ry, List.tl ry) in
+        let k = nu - 1 in
+        let chi_sum =
+          List.fold_left
+            (fun (acc, c) x -> (Fr.add acc (Fr.mul x (chi ry_w k c)), c + 1))
+            (chi ry_w k 0, 1) io
+          |> fst
+        in
+        Fr.equal via_table (Fr.mul (Fr.sub Fr.one ry0) chi_sum)) ]
 
 (* ---------------- pedersen ---------------- *)
 
@@ -290,16 +377,84 @@ let e2e_tests =
         in
         check_bool "arity mismatch flagged malformed" true
           (Spartan.verify_batch key inst bad = Spartan.Batch_malformed [ 1 ]);
-        (* a proof corrupted in a group element still rejects — the
-           weighted combined MSM must catch it *)
-        let bad =
-          match instances with
-          | (io, p) :: rest ->
-            (io, Spartan.Mutate.apply (List.hd (Spartan.Mutate.sites p)) p) :: rest
-          | [] -> assert false
+        (* every mutation site of member 0 (fold opening) and member 1
+           (IPA opening) rejects the batch — group-element sites must be
+           caught by the weighted combined MSM *)
+        List.iteri
+          (fun pos (io, p) ->
+            List.iter
+              (fun site ->
+                let bad =
+                  List.mapi
+                    (fun i m -> if i = pos then (io, Spartan.Mutate.apply site p) else m)
+                    instances
+                in
+                check_bool
+                  (Printf.sprintf "member %d %s rejects batch" pos
+                     (Spartan.Mutate.site_name site))
+                  true
+                  (Spartan.verify_batch key inst bad = Spartan.Batch_rejected))
+              (Spartan.Mutate.sites p))
+          (List.filteri (fun i _ -> i < 2) instances));
+    Alcotest.test_case "changed first or last public input rejected" `Quick (fun () ->
+        (* CRPC+PSQ binds Y as the public inputs; flipping the first or the
+           last one must fail the verifier's public term of z̃ *)
+        let dims = Mspec.dims ~a:2 ~n:2 ~b:3 in
+        let rng = Random.State.make [| 17 |] in
+        let x = Spec.random_matrix rng ~rows:2 ~cols:2 ~bound:64 in
+        let w = Spec.random_matrix rng ~rows:2 ~cols:3 ~bound:64 in
+        let prep = Api.prepare Mc.Crpc_psq ~x ~w dims in
+        let inst, key =
+          match Api.keygen Api.Backend_spartan prep.Api.cs with
+          | Api.Spartan_keys { inst; key } -> (inst, key)
+          | Api.Groth16_keys _ -> Alcotest.fail "expected spartan keys"
         in
-        check_bool "corrupt member rejects batch" true
-          (Spartan.verify_batch key inst bad = Spartan.Batch_rejected));
+        let n = Api.Cs.num_inputs prep.Api.cs in
+        check_bool "several public inputs" true (n >= 2);
+        let io = Array.to_list (Array.sub prep.Api.assignment 1 n) in
+        let bump k = List.mapi (fun i v -> if i = k then Fr.add v Fr.one else v) io in
+        List.iter
+          (fun (mode, name) ->
+            let proof = Spartan.prove ~opening_mode:mode st key inst prep.Api.assignment in
+            check_bool (name ^ " honest") true (Spartan.verify key inst ~public_inputs:io proof);
+            check_bool (name ^ " first input changed") false
+              (Spartan.verify key inst ~public_inputs:(bump 0) proof);
+            check_bool (name ^ " last input changed") false
+              (Spartan.verify key inst ~public_inputs:(bump (n - 1)) proof))
+          [ (`Hyrax_fold, "fold"); (`Ipa, "ipa") ]);
+    Alcotest.test_case "sumcheck with a round too many or too few rejected" `Quick
+      (fun () ->
+        let cs, assignment = circuit 10 in
+        let inst = Spartan.preprocess cs in
+        let key = Spartan.setup inst in
+        let io = [ assignment.(1) ] in
+        let bytes = Spartan.proof_to_bytes (Spartan.prove st key inst assignment) in
+        (* wire layout: comm_rows, sc1 (4 evals per round), va vb vc,
+           sc2 (3 evals per round), opening; counts are big-endian u32 *)
+        let u32 off = Int32.to_int (Bytes.get_int32_be bytes off) in
+        let sc1_at = 4 + (u32 0 * G1.size_in_bytes) in
+        let sc2_at = sc1_at + 4 + (u32 sc1_at * (4 + (4 * 32))) + (3 * 32) in
+        (* rewrite the round count at [at] and repeat (+1) or drop (-1)
+           the last round *)
+        let resize at round_bytes delta =
+          let n = u32 at in
+          let last_at = at + 4 + ((n - 1) * round_bytes) in
+          let head = Bytes.sub bytes 0 last_at in
+          Bytes.set_int32_be head at (Int32.of_int (n + delta));
+          let last = Bytes.sub bytes last_at round_bytes in
+          let tail_at = last_at + round_bytes in
+          let tail = Bytes.sub bytes tail_at (Bytes.length bytes - tail_at) in
+          let rounds = if delta > 0 then [ last; last ] else [] in
+          Spartan.proof_of_bytes_exn (Bytes.concat Bytes.empty ((head :: rounds) @ [ tail ]))
+        in
+        check_bool "layout" true (u32 sc2_at = Spartan.num_rounds_y inst);
+        List.iter
+          (fun (name, p) ->
+            check_bool name false (Spartan.verify key inst ~public_inputs:io p))
+          [ ("sc1 one round short", resize sc1_at (4 + (4 * 32)) (-1));
+            ("sc1 one round long", resize sc1_at (4 + (4 * 32)) 1);
+            ("sc2 one round short", resize sc2_at (4 + (3 * 32)) (-1));
+            ("sc2 one round long", resize sc2_at (4 + (3 * 32)) 1) ]);
     Alcotest.test_case "batch agrees with individual verification" `Quick (fun () ->
         let cs, assignment = circuit 8 in
         let inst = Spartan.preprocess cs in

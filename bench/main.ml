@@ -774,20 +774,54 @@ let run_ablations () =
       tbl "  degree %-6d schoolbook %.4fs ntt %.4fs -> %s wins\n%!" deg ts tn
         (if ts < tn then "schoolbook" else "ntt"))
     [ 16; 64; 256; 1024 ];
-  (* 3. Pippenger vs naive MSM *)
-  tbl "[abl-msm] MSM n=2048:\n";
+  (* 3. Pippenger: planned windows by scalar shape, and vs naive *)
+  tbl "[abl-msm] Pippenger windows planned from the scalars' bit lengths:\n";
   let module Msm = Zkvc_curve.Msm.Make (Zkvc_curve.G1) in
+  let full () = Fr.to_bigint (Fr.random rng) in
+  let bits b = Zkvc_num.Bigint.of_int (Random.State.int rng (1 lsl b)) in
   let points = Array.init 2048 (fun _ -> Zkvc_curve.G1.random rng) in
-  let scalars = Array.init 2048 (fun _ -> Fr.to_bigint (Fr.random rng)) in
-  let t0 = now () in
-  ignore (Msm.msm_bigint points scalars);
-  let t_pip = now () -. t0 in
+  (* best of 3 over enough repetitions to take ~2048 points' work *)
+  let time_msm scalars =
+    let pts = Array.sub points 0 (Array.length scalars) in
+    let reps = Stdlib.max 1 (2048 / Array.length scalars) in
+    let best = ref infinity in
+    for _ = 1 to 3 do
+      let t0 = now () in
+      for _ = 1 to reps do
+        ignore (Msm.msm_bigint pts scalars)
+      done;
+      best := Float.min !best ((now () -. t0) /. float_of_int reps)
+    done;
+    !best
+  in
+  (* run-length summary of the planned widths, top window first *)
+  let widths scalars =
+    List.rev_map snd (Array.to_list (Zkvc_curve.Msm.windows scalars))
+    |> List.fold_left
+         (fun acc c ->
+           match acc with
+           | (c', k) :: rest when c' = c -> (c, k + 1) :: rest
+           | _ -> (c, 1) :: acc)
+         []
+    |> List.rev_map (fun (c, k) -> if k = 1 then string_of_int c else Printf.sprintf "%dx%d" c k)
+    |> String.concat "+"
+  in
+  let scalars = Array.init 2048 (fun _ -> full ()) in
+  let t_pip = time_msm scalars in
   let t0 = now () in
   ignore
     (Msm.msm_naive ~mul:Zkvc_curve.G1.mul (Array.sub points 0 128) (Array.sub scalars 0 128));
   let t_naive = (now () -. t0) *. (2048. /. 128.) in
-  tbl "  pippenger %.3fs vs naive (extrapolated) %.3fs -> %.1fx\n%!" t_pip t_naive
-    (t_naive /. Stdlib.max 1e-9 t_pip);
+  tbl "  %-28s n=%-5d windows %-20s %.4fs; naive (extrapolated) %.3fs -> %.1fx\n%!"
+    "uniform 254-bit" 2048 (widths scalars) t_pip t_naive (t_naive /. Stdlib.max 1e-9 t_pip);
+  List.iter
+    (fun (name, n, scalar) ->
+      let scalars = Array.init n scalar in
+      let t = time_msm scalars and t_full = time_msm (Array.init n (fun _ -> full ())) in
+      tbl "  %-28s n=%-5d windows %-20s %.4fs; 254-bit scalars at this n %.4fs -> %.1fx\n%!"
+        name n (widths scalars) t t_full (t_full /. Stdlib.max 1e-9 t))
+    [ ("skewed: 12x254-bit, 11-bit", 719, fun i -> if i mod 60 = 7 then full () else bits 11);
+      ("6-bit (Spartan row commit)", 128, fun _ -> bits 6) ];
   (* 4. softmax squaring depth vs accuracy *)
   tbl "[abl-exp] exponential approximation error by squaring depth n:\n";
   List.iter

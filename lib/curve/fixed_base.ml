@@ -45,12 +45,8 @@ struct
     Array.iteri
       (fun w row ->
         let lo = w * c in
-        let hi = Stdlib.min (lo + c) scalar_bits in
-        let d = ref 0 in
-        for i = hi - 1 downto lo do
-          d := (!d lsl 1) lor (if Bigint.bit s i then 1 else 0)
-        done;
-        if !d > 0 then acc := G.add !acc row.(!d - 1))
+        let d = Bigint.bits s ~pos:lo ~len:(Stdlib.min c (scalar_bits - lo)) in
+        if d > 0 then acc := G.add !acc row.(d - 1))
       t.rows;
     !acc
 

@@ -1,7 +1,13 @@
 (** Multi-scalar multiplication via Pippenger's bucket method — the
     dominant cost of the Groth16 prover, so the benchmarked CRPC/PSQ
     variable-count reductions translate directly into fewer bucket
-    additions here. *)
+    additions here.
+
+    The windows are planned from the scalars themselves: witness and
+    quotient scalars are rarely full width (a Spartan row commitment's
+    are a few bits, Groth16's [msm_l] mixes a dozen full-width scalars
+    with ~11-bit ones), and a window above a scalar's top bit costs it
+    nothing. *)
 
 module Bigint = Zkvc_num.Bigint
 module Fr = Zkvc_field.Fr
@@ -9,7 +15,7 @@ module Metrics = Zkvc_obs.Metrics
 module Parallel = Zkvc_parallel
 
 (* Shared across group instantiations (G1, G2): how many MSMs ran, their
-   input sizes and the Pippenger window widths chosen for them. *)
+   input sizes and the width of every Pippenger window planned for them. *)
 let msm_calls = Metrics.counter "msm.calls"
 let msm_size = Metrics.histogram "msm.size"
 let msm_window = Metrics.histogram "msm.window_bits"
@@ -22,46 +28,75 @@ module type Group = sig
   val double : t -> t
 end
 
+(* Widest window the planner considers: 2^16 − 1 buckets per window. *)
+let max_window = 16
+
+type plan =
+  { order : int array; (* point indices, longest scalar first *)
+    live : int array; (* live.(b) = number of scalars longer than b bits *)
+    windows : (int * int) array (* (lo, c): bits [lo, lo + c), lo ascending *) }
+
+(* Window [lo, lo + c) costs one bucket addition per scalar longer than lo
+   bits, 2·(2^c − 1) for the running bucket sum and c doublings to join
+   it to the window below. best.(lo) is the cheapest cover of bits
+   [lo, top), found by a DP from the top bit down; ties take the narrower
+   window, so the plan is a function of the scalars alone. *)
+let plan scalars =
+  let len = Array.map Bigint.num_bits scalars in
+  let top = Array.fold_left Stdlib.max 0 len in
+  let count = Array.make (top + 1) 0 in
+  Array.iter (fun l -> count.(l) <- count.(l) + 1) len;
+  let live = Array.make (top + 1) 0 in
+  for b = top - 1 downto 0 do
+    live.(b) <- live.(b + 1) + count.(b + 1)
+  done;
+  (* stable counting sort: the scalars of length l fill
+     [live.(l), live.(l) + count.(l)) *)
+  let next = Array.copy live and order = Array.make (Array.length scalars) 0 in
+  Array.iteri
+    (fun i l ->
+      order.(next.(l)) <- i;
+      next.(l) <- next.(l) + 1)
+    len;
+  let best = Array.make (top + 1) 0 and width = Array.make (top + 1) 0 in
+  for lo = top - 1 downto 0 do
+    best.(lo) <- max_int;
+    for c = 1 to Stdlib.min max_window (top - lo) do
+      let cost = live.(lo) + (2 * ((1 lsl c) - 1)) + c + best.(lo + c) in
+      if cost < best.(lo) then begin
+        best.(lo) <- cost;
+        width.(lo) <- c
+      end
+    done
+  done;
+  let rec windows lo acc =
+    if lo >= top then Array.of_list (List.rev acc)
+    else windows (lo + width.(lo)) ((lo, width.(lo)) :: acc)
+  in
+  { order; live; windows = windows 0 [] }
+
+let windows scalars = (plan scalars).windows
+
 module Make (G : Group) = struct
-  (* Empirically reasonable window size for single-threaded Pippenger. *)
-  let window_bits n =
-    if n < 8 then 2
-    else if n < 32 then 4
-    else if n < 256 then 6
-    else if n < 4096 then 9
-    else if n < 65536 then 12
-    else 14
-
-  let scalar_bits = 254
-
-  (* digit w of s in base 2^c *)
-  let digit s c w =
-    let lo = w * c in
-    let hi = Stdlib.min (lo + c) scalar_bits in
-    let d = ref 0 in
-    for i = hi - 1 downto lo do
-      d := (!d lsl 1) lor (if Bigint.bit s i then 1 else 0)
-    done;
-    !d
-
   let msm_bigint points scalars =
     let n = Array.length points in
     if n <> Array.length scalars then invalid_arg "Msm: length mismatch";
     if n = 0 then G.zero
     else begin
-      let c = window_bits n in
       Metrics.incr msm_calls;
       Metrics.observe_int msm_size n;
-      Metrics.observe_int msm_window c;
-      let nwin = (scalar_bits + c - 1) / c in
-      (* Each of the nwin windows accumulates its buckets independently —
-         the parallel axis. The doubling ladder that stitches the window
-         sums together stays sequential (it is O(scalar_bits) additions),
-         so the combined result is identical for every job count. *)
-      let window_sum w =
+      let { order; live; windows } = plan scalars in
+      Array.iter (fun (_, c) -> Metrics.observe_int msm_window c) windows;
+      (* Each window accumulates its buckets independently — the parallel
+         axis — over the prefix of [order] whose scalars reach it. The
+         doubling ladder that stitches the window sums together stays
+         sequential (it is O(top bit) doublings), so the combined result
+         is identical for every job count. *)
+      let window_sum (lo, c) =
         let buckets = Array.make ((1 lsl c) - 1) G.zero in
-        for i = 0 to n - 1 do
-          let d = digit scalars.(i) c w in
+        for k = 0 to live.(lo) - 1 do
+          let i = order.(k) in
+          let d = Bigint.bits scalars.(i) ~pos:lo ~len:c in
           if d > 0 then buckets.(d - 1) <- G.add buckets.(d - 1) points.(i)
         done;
         (* sum_j j*bucket_j via a running suffix sum *)
@@ -72,14 +107,18 @@ module Make (G : Group) = struct
         done;
         !acc
       in
+      let nwin = Array.length windows in
       let sums =
         if Parallel.jobs () > 1 && n >= 32 then
-          Parallel.parallel_init nwin window_sum
-        else Array.init nwin window_sum
+          Parallel.parallel_init nwin (fun w -> window_sum windows.(w))
+        else Array.map window_sum windows
       in
+      (* window w + 1 starts c_w bits above window w, so the running sum
+         is doubled c_w times before window w's sum joins it; from the
+         top window down, nothing is doubled past the longest scalar *)
       let result = ref G.zero in
       for w = nwin - 1 downto 0 do
-        for _ = 1 to c do
+        for _ = 1 to snd windows.(w) do
           result := G.double !result
         done;
         result := G.add !result sums.(w)

@@ -5,6 +5,13 @@
 module Bigint = Zkvc_num.Bigint
 module Fr = Zkvc_field.Fr
 
+(** The Pippenger windows [(lo, width)] that {!Make.msm_bigint} plans for
+    these scalars, lowest first. They tile bits [\[0, l)], where [l] is
+    the longest scalar's bit length, and their widths minimise a cost
+    that counts, per window, one bucket addition per scalar reaching it,
+    the bucket sum and the doublings. *)
+val windows : Bigint.t array -> (int * int) array
+
 module type Group = sig
   type t
 

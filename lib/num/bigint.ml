@@ -95,6 +95,24 @@ let mag_bit a i =
   let limb = i / limb_bits and off = i mod limb_bits in
   if limb >= Array.length a then false else (a.(limb) lsr off) land 1 = 1
 
+(* bits [pos, pos + len) as an int, read limb by limb. With len <= 62 the
+   final mask keeps every wanted bit; a limb shifted past bit 62 loses
+   only bits the mask would clear anyway. *)
+let mag_bits a pos len =
+  let la = Array.length a in
+  let limb = pos / limb_bits in
+  if limb >= la then 0
+  else begin
+    let v = ref (a.(limb) lsr (pos mod limb_bits)) in
+    let got = ref (limb_bits - (pos mod limb_bits)) and i = ref (limb + 1) in
+    while !got < len && !i < la do
+      v := !v lor (a.(!i) lsl !got);
+      got := !got + limb_bits;
+      incr i
+    done;
+    !v land ((1 lsl len) - 1)
+  end
+
 let mag_shift_left a k =
   if Array.length a = 0 || k = 0 then a
   else begin
@@ -246,6 +264,11 @@ let shift_left a k = if k < 0 then invalid_arg "Bigint.shift_left" else mk a.sig
 let shift_right a k = if k < 0 then invalid_arg "Bigint.shift_right" else mk a.sign (mag_shift_right a.mag k)
 
 let bit a i = mag_bit a.mag i
+
+let bits a ~pos ~len =
+  if pos < 0 || len < 0 || len > 62 then invalid_arg "Bigint.bits";
+  mag_bits a.mag pos len
+
 let num_bits a = mag_num_bits a.mag
 let is_even a = not (bit a 0)
 

@@ -61,6 +61,12 @@ val shift_right : t -> int -> t
 (** [bit n i] is bit [i] of [abs n]. *)
 val bit : t -> int -> bool
 
+(** [bits n ~pos ~len] is bits [\[pos, pos + len)] of [abs n] as an
+    [int], bit [pos] least significant: the value [Σ bit n (pos + k) · 2^k]
+    for [k < len]. Requires [pos >= 0] and [0 <= len <= 62], else raises
+    [Invalid_argument]. *)
+val bits : t -> pos:int -> len:int -> int
+
 (** Number of significant bits of the magnitude; [num_bits zero = 0]. *)
 val num_bits : t -> int
 

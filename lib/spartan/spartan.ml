@@ -542,6 +542,8 @@ let verify key t ~public_inputs proof =
 let well_formed key t ~public_inputs proof =
   List.length public_inputs = t.num_inputs
   && Array.length proof.comm_rows = 1 lsl key.wrows
+  && List.length proof.sc1 = t.mu
+  && List.length proof.sc2 = t.nu
   && (match proof.opening with
      | Fold_opening { folded; _ } -> Array.length folded = 1 lsl key.wcols
      | Ipa_opening { ipa; _ } ->

@@ -207,6 +207,84 @@ let msm_tests =
         let expect = G1.add (G1.mul p (B.of_int 5)) G1.generator in
         check_bool "combo" true (G1.equal (Msm_g1.msm points scalars) expect)) ]
 
+(* Scalar distributions that stress the window planner (bit lengths, live
+   prefixes, windows of different widths), checked against Σ s_i·P_i. *)
+module Msm_suite (G : sig
+  type t
+
+  val zero : t
+  val add : t -> t -> t
+  val double : t -> t
+  val equal : t -> t -> bool
+  val mul_fr : t -> Fr.t -> t
+  val random : Random.State.t -> t
+  val name : string
+end) =
+struct
+  module M = Zkvc_curve.Msm.Make (G)
+
+  (* a uniform scalar of exactly [l] bits (l = 0 gives zero; 254-bit
+     scalars stay below r) *)
+  let of_length l =
+    if l = 0 then Fr.zero
+    else
+      let top = B.shift_left B.one (l - 1) in
+      let room = B.min top (B.sub Fr.modulus top) in
+      Fr.of_bigint (B.add top (B.random st room))
+
+  let small () = Fr.of_int (Random.State.int st 256)
+  let r_minus_1 = Fr.neg Fr.one
+
+  let distributions =
+    [ ("all zero", Array.make 40 Fr.zero);
+      ("n = 1", [| Fr.random st |]);
+      ("n = 1, r - 1", [| r_minus_1 |]);
+      ("r - 1", Array.make 9 r_minus_1);
+      ( "one 254-bit among <= 8-bit",
+        Array.init 150 (fun i -> if i = 97 then of_length 254 else small ()) );
+      ("one of each bit length 0..254", Array.init 255 of_length) ]
+
+  let tests =
+    List.map
+      (fun (name, scalars) ->
+        Alcotest.test_case (Printf.sprintf "%s msm = naive: %s" G.name name) `Quick (fun () ->
+            let points = Array.map (fun _ -> G.random st) scalars in
+            check_bool name true
+              (G.equal (M.msm points scalars) (M.msm_naive ~mul:G.mul_fr points scalars))))
+      distributions
+end
+
+module Msm_g1_suite = Msm_suite (struct
+  include G1
+  let name = "G1"
+end)
+
+module Msm_g2_suite = Msm_suite (struct
+  include G2
+  let name = "G2"
+end)
+
+let plan_tests =
+  [ Alcotest.test_case "planned windows tile [0, longest bit length)" `Quick (fun () ->
+        let check name scalars =
+          let bs = Array.map Fr.to_bigint scalars in
+          let top = Array.fold_left (fun m s -> max m (B.num_bits s)) 0 bs in
+          let next =
+            Array.fold_left
+              (fun lo (lo', c) ->
+                check_bool (name ^ ": contiguous") true (lo = lo' && c >= 1);
+                lo + c)
+              0 (Zkvc_curve.Msm.windows bs)
+          in
+          Alcotest.(check int) (name ^ ": ends at the top bit") top next
+        in
+        List.iter (fun (name, scalars) -> check name scalars) Msm_g1_suite.distributions;
+        let six = Array.init 128 (fun i -> Fr.of_int (i mod 64)) in
+        check "6-bit" six;
+        Alcotest.(check (list (pair int int)))
+          "128 six-bit scalars: one 6-bit window" [ (0, 6) ]
+          (Array.to_list (Zkvc_curve.Msm.windows (Array.map Fr.to_bigint six)))) ]
+
 (* ---------------- pairing ---------------- *)
 
 let pairing_tests =
@@ -287,5 +365,5 @@ let () =
     [ ("tower", tower_tests);
       ("g1", G1_suite.tests);
       ("g2", G2_suite.tests);
-      ("msm", msm_tests);
+      ("msm", msm_tests @ plan_tests @ Msm_g1_suite.tests @ Msm_g2_suite.tests);
       ("pairing", pairing_tests) ]

@@ -67,6 +67,42 @@ let test_bits () =
   check_int "num_bits" 11 (B.num_bits n);
   check_int "num_bits zero" 0 (B.num_bits B.zero)
 
+(* the limb-reading extractor against the bit-by-bit definition, at every
+   window up to 62 bits wide and every offset past the top limb; 26-bit
+   limbs make most of these windows straddle one or two limb boundaries *)
+let test_bits_window () =
+  let st = Random.State.make [| 26 |] in
+  let values =
+    [ B.zero;
+      B.sub (B.shift_left B.one 262) B.one;
+      b "21888242871839275222246405745257275088548364400416034343698204186575808495616";
+      B.neg (B.random st (B.shift_left B.one 254));
+      B.random st (B.shift_left B.one 300) ]
+  in
+  let crossing = ref 0 in
+  List.iter
+    (fun n ->
+      for pos = 0 to 320 do
+        for len = 0 to 62 do
+          let expect = ref 0 in
+          for k = len - 1 downto 0 do
+            expect := (!expect lsl 1) lor (if B.bit n (pos + k) then 1 else 0)
+          done;
+          if len > 0 && pos / 26 <> (pos + len - 1) / 26 then incr crossing;
+          if B.bits n ~pos ~len <> !expect then
+            Alcotest.failf "bits %s ~pos:%d ~len:%d" (B.to_hex n) pos len
+        done
+      done)
+    values;
+  check_bool "windows crossing a limb boundary checked" true (!crossing > 10_000);
+  List.iter
+    (fun (pos, len) ->
+      check_bool (Printf.sprintf "pos %d len %d rejected" pos len) true
+        (match B.bits B.one ~pos ~len with
+         | exception Invalid_argument _ -> true
+         | _ -> false))
+    [ (-1, 4); (0, -1); (0, 63) ]
+
 let test_pow () =
   check_str "2^200"
     "1606938044258990275541962092341162602522202993782792835301376"
@@ -189,6 +225,7 @@ let () =
           Alcotest.test_case "div by zero" `Quick test_div_by_zero;
           Alcotest.test_case "shifts" `Quick test_shifts;
           Alcotest.test_case "bits" `Quick test_bits;
+          Alcotest.test_case "bits window = bit loop" `Quick test_bits_window;
           Alcotest.test_case "pow" `Quick test_pow;
           Alcotest.test_case "gcd/mod_inverse" `Quick test_gcd_inverse;
           Alcotest.test_case "mod_pow" `Quick test_mod_pow;

@@ -9,6 +9,7 @@ module Msm = Zkvc_curve.Msm.Make (G1)
 module D = Zkvc_poly.Domain.Make (Fr)
 module Groth16 = Zkvc_groth16.Groth16
 module Spartan = Zkvc_spartan.Spartan
+module Pedersen = Zkvc_spartan.Pedersen
 module Bld = Zkvc_r1cs.Builder.Make (Fr)
 module Gg = Zkvc_r1cs.Gadgets.Make (Fr)
 module L = Zkvc_r1cs.Lc.Make (Fr)
@@ -152,7 +153,44 @@ let kernel_tests =
         let run j = with_jobs j (fun () -> G1.to_bytes (Msm.msm points scalars)) in
         let r1 = run 1 in
         check_bool "j2" true (Bytes.equal r1 (run 2));
-        check_bool "j4" true (Bytes.equal r1 (run 4))) ]
+        check_bool "j4" true (Bytes.equal r1 (run 4)));
+    Alcotest.test_case "skewed MSM identical for jobs 1/2/4 (n=719)" `Quick (fun () ->
+        (* the Groth16 msm_l shape: 12 full-width scalars among ~11-bit
+           ones, so the planned windows differ in width and live prefix *)
+        let scalars =
+          Array.init 719 (fun i ->
+              if i mod 60 = 7 then Fr.random st else Fr.of_int (Random.State.int st 2048))
+        in
+        let points = Array.map (fun _ -> G1.random st) scalars in
+        let run j = with_jobs j (fun () -> G1.to_bytes (Msm.msm points scalars)) in
+        let r1 = run 1 in
+        check_bool "j2" true (Bytes.equal r1 (run 2));
+        check_bool "j4" true (Bytes.equal r1 (run 4));
+        check_bool "= naive" true
+          (Bytes.equal r1 (G1.to_bytes (Msm.msm_naive ~mul:G1.mul_fr points scalars))));
+    Alcotest.test_case "Pedersen blinder term = mul_fr, first use on 4 domains" `Quick
+      (fun () ->
+        (* the shared blinder table is built on first use; several domains
+           race to build it here and must all agree with the oracle *)
+        let key = Pedersen.create_key 16 in
+        let v = Array.init 16 (fun _ -> Fr.random st) in
+        let blinds = Array.init 8 (fun _ -> Fr.random st) in
+        let commits =
+          with_jobs 4 (fun () ->
+              Parallel.parallel_init 8 (fun i -> Pedersen.commit key v ~blind:blinds.(i)))
+        in
+        let base = Msm.msm (Pedersen.generators key) v in
+        Array.iteri
+          (fun i c ->
+            let oracle = G1.add base (G1.mul_fr (Pedersen.blinder key) blinds.(i)) in
+            check_bool (Printf.sprintf "blind %d" i) true
+              (Bytes.equal (G1.to_bytes c) (G1.to_bytes oracle)))
+          commits;
+        (* a key with another blinder takes the direct multiplication *)
+        let other = Pedersen.of_raw ~generators:(Pedersen.generators key) ~blinder:G1.generator in
+        check_bool "foreign blinder" true
+          (G1.equal (Pedersen.commit other v ~blind:blinds.(0))
+             (G1.add base (G1.mul_fr G1.generator blinds.(0))))) ]
 
 let qcheck_kernel_tests =
   let st = Random.State.make [| 51; 52 |] in

@@ -297,6 +297,38 @@ let circuit n_muls =
   G.assert_equal b (L.of_var out) !acc;
   Bld.finalize b
 
+(* The proof with round 0 of its second sumcheck appended once more, made
+   through the wire encoding (the proof type is abstract): a u32 count of
+   row commitments and the points, then each sumcheck as a u32 round count
+   of u32-counted scalar arrays, with va, vb, vc between the two. *)
+let with_extra_sc2_round p =
+  let b = Spartan.proof_to_bytes p in
+  let u32 at = Bytes.get_int32_be b at |> Int32.to_int in
+  let fr_bytes = Bytes.length (Fr.to_bytes Fr.zero) in
+  let pos = ref (4 + (u32 0 * G1.size_in_bytes)) in
+  let skip_round () = pos := !pos + 4 + (fr_bytes * u32 !pos) in
+  let skip_sumcheck () =
+    let rounds = u32 !pos in
+    pos := !pos + 4;
+    for _ = 1 to rounds do
+      skip_round ()
+    done
+  in
+  skip_sumcheck ();
+  pos := !pos + (3 * fr_bytes);
+  let sc2_at = !pos in
+  skip_sumcheck ();
+  let round0 = Bytes.sub b (sc2_at + 4) (4 + (fr_bytes * u32 (sc2_at + 4))) in
+  let count = Bytes.create 4 in
+  Bytes.set_int32_be count 0 (Int32.of_int (u32 sc2_at + 1));
+  Spartan.proof_of_bytes_exn
+    (Bytes.concat Bytes.empty
+       [ Bytes.sub b 0 sc2_at;
+         count;
+         Bytes.sub b (sc2_at + 4) (!pos - sc2_at - 4);
+         round0;
+         Bytes.sub b !pos (Bytes.length b - !pos) ])
+
 let e2e_tests =
   [ Alcotest.test_case "complete" `Quick (fun () ->
         let cs, assignment = circuit 10 in
@@ -377,6 +409,14 @@ let e2e_tests =
         in
         check_bool "arity mismatch flagged malformed" true
           (Spartan.verify_batch key inst bad = Spartan.Batch_malformed [ 1 ]);
+        (* so is a sumcheck with a round too many, in a 2-member batch *)
+        let bad =
+          match instances with
+          | (io, p) :: second :: _ -> [ (io, with_extra_sc2_round p); second ]
+          | _ -> assert false
+        in
+        check_bool "extra sc2 round flagged malformed" true
+          (Spartan.verify_batch key inst bad = Spartan.Batch_malformed [ 0 ]);
         (* every mutation site of member 0 (fold opening) and member 1
            (IPA opening) rejects the batch — group-element sites must be
            caught by the weighted combined MSM *)

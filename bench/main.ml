@@ -794,9 +794,12 @@ let run_ablations () =
     done;
     !best
   in
-  (* run-length summary of the planned widths, top window first *)
+  (* run-length summary of the planned widths, top window first, and the
+     plan's bucket count (2^(c−1) per signed-digit window) *)
   let widths scalars =
-    List.rev_map snd (Array.to_list (Zkvc_curve.Msm.windows scalars))
+    let windows = Zkvc_curve.Msm.windows scalars in
+    let buckets = Array.fold_left (fun acc (_, c) -> acc + (1 lsl (c - 1))) 0 windows in
+    List.rev_map snd (Array.to_list windows)
     |> List.fold_left
          (fun acc c ->
            match acc with
@@ -805,6 +808,7 @@ let run_ablations () =
          []
     |> List.rev_map (fun (c, k) -> if k = 1 then string_of_int c else Printf.sprintf "%dx%d" c k)
     |> String.concat "+"
+    |> fun w -> Printf.sprintf "%s (%d buckets)" w buckets
   in
   let scalars = Array.init 2048 (fun _ -> full ()) in
   let t_pip = time_msm scalars in
@@ -812,13 +816,13 @@ let run_ablations () =
   ignore
     (Msm.msm_naive ~mul:Zkvc_curve.G1.mul (Array.sub points 0 128) (Array.sub scalars 0 128));
   let t_naive = (now () -. t0) *. (2048. /. 128.) in
-  tbl "  %-28s n=%-5d windows %-20s %.4fs; naive (extrapolated) %.3fs -> %.1fx\n%!"
+  tbl "  %-28s n=%-5d windows %-34s %.4fs; naive (extrapolated) %.3fs -> %.1fx\n%!"
     "uniform 254-bit" 2048 (widths scalars) t_pip t_naive (t_naive /. Stdlib.max 1e-9 t_pip);
   List.iter
     (fun (name, n, scalar) ->
       let scalars = Array.init n scalar in
       let t = time_msm scalars and t_full = time_msm (Array.init n (fun _ -> full ())) in
-      tbl "  %-28s n=%-5d windows %-20s %.4fs; 254-bit scalars at this n %.4fs -> %.1fx\n%!"
+      tbl "  %-28s n=%-5d windows %-34s %.4fs; 254-bit scalars at this n %.4fs -> %.1fx\n%!"
         name n (widths scalars) t t_full (t_full /. Stdlib.max 1e-9 t))
     [ ("skewed: 12x254-bit, 11-bit", 719, fun i -> if i mod 60 = 7 then full () else bits 11);
       ("6-bit (Spartan row commit)", 128, fun _ -> bits 6) ];

@@ -40,6 +40,7 @@ struct
 
   let mul_bigint t s =
     if Bigint.sign s < 0 then invalid_arg "Fixed_base.mul: negative scalar";
+    if Bigint.num_bits s > scalar_bits then invalid_arg "Fixed_base.mul: scalar too wide";
     let c = t.window in
     let acc = ref G.zero in
     Array.iteri

@@ -15,6 +15,9 @@ end) : sig
   (** Precompute the window table for a base point. *)
   val create : ?window:int -> G.t -> table
 
+  (** Raises [Invalid_argument] on a negative scalar or one wider than
+      254 bits, the width the table covers. *)
   val mul_bigint : table -> Zkvc_num.Bigint.t -> G.t
+
   val mul : table -> Zkvc_field.Fr.t -> G.t
 end

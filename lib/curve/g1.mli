@@ -18,6 +18,11 @@ val neg : t -> t
 val double : t -> t
 val add : t -> t -> t
 val sub_point : t -> t -> t
+
+(** Rewrites every point in place to affine form with one inversion; see
+    {!Weierstrass.Make.normalize}. *)
+val normalize : t array -> unit
+
 val equal : t -> t -> bool
 
 (** Scalar multiplication by a non-negative big integer. *)

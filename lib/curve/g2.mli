@@ -21,6 +21,11 @@ val neg : t -> t
 val double : t -> t
 val add : t -> t -> t
 val sub_point : t -> t -> t
+
+(** Rewrites every point in place to affine form with one inversion; see
+    {!Weierstrass.Make.normalize}. *)
+val normalize : t array -> unit
+
 val equal : t -> t -> bool
 val mul : t -> Zkvc_num.Bigint.t -> t
 val mul_fr : t -> Fr.t -> t

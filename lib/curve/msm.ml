@@ -7,7 +7,12 @@
     quotient scalars are rarely full width (a Spartan row commitment's
     are a few bits, Groth16's [msm_l] mixes a dozen full-width scalars
     with ~11-bit ones), and a window above a scalar's top bit costs it
-    nothing. *)
+    nothing.
+
+    Digits are signed (Booth-recoded), so a c-bit window keeps 2^(c−1)
+    buckets and a negative digit adds the negated base. Bases are best
+    given affine (see [Weierstrass.Make.normalize]): a bucket addition
+    with an affine base takes the mixed formula. *)
 
 module Bigint = Zkvc_num.Bigint
 module Fr = Zkvc_field.Fr
@@ -26,43 +31,69 @@ module type Group = sig
   val zero : t
   val add : t -> t -> t
   val double : t -> t
+  val neg : t -> t
 end
 
-(* Widest window the planner considers: 2^16 − 1 buckets per window. *)
+(* Widest window the planner considers: 2^15 buckets per window. *)
 let max_window = 16
 
 type plan =
   { order : int array; (* point indices, longest scalar first *)
-    live : int array; (* live.(b) = number of scalars longer than b bits *)
+    live : int array; (* live.(lo) = number of scalars a window at bit lo reaches *)
     windows : (int * int) array (* (lo, c): bits [lo, lo + c), lo ascending *) }
 
-(* Window [lo, lo + c) costs one bucket addition per scalar longer than lo
-   bits, 2·(2^c − 1) for the running bucket sum and c doublings to join
-   it to the window below. best.(lo) is the cheapest cover of bits
-   [lo, top), found by a DP from the top bit down; ties take the narrower
-   window, so the plan is a function of the scalars alone. *)
+(* Signed (Booth-recoded) digit of window [lo, lo + c):
+   d = bits[lo, lo + c) + bit(lo − 1) − 2^c·bit(lo + c − 1), read as one
+   (c + 1)-bit field at lo − 1. The window's top bit is lent to the window
+   above as a carry, so −2^(c−1) ≤ d ≤ 2^(c−1) and each window needs
+   2^(c−1) buckets, one per |d|. The digits depend on the window's own
+   bits alone, and Σ d_w·2^lo_w telescopes back to the scalar when the
+   top window's top bit is zero. *)
+let digit s ~lo ~c =
+  let v =
+    if lo = 0 then Bigint.bits s ~pos:0 ~len:c lsl 1
+    else Bigint.bits s ~pos:(lo - 1) ~len:(c + 1)
+  in
+  (v lsr 1) + (v land 1) - ((v lsr c) lsl c)
+
+(* Window [lo, lo + c) costs one bucket addition per scalar it reaches
+   (a carry out of bit lo − 1 reaches every scalar of at least lo bits),
+   2·2^(c−1) for the running bucket sum and c doublings to join it to the
+   window below. The windows tile [0, top + 1): the top window reads the
+   zero bit above the longest scalar, so it absorbs the last carry.
+   best.(lo) is the cheapest cover of bits [lo, top + 1), found by a DP
+   from the top bit down; ties take the narrower window, so the plan is a
+   function of the scalars alone. *)
 let plan scalars =
-  let len = Array.map Bigint.num_bits scalars in
+  let len =
+    Array.map
+      (fun s ->
+        if Bigint.sign s < 0 then invalid_arg "Msm: negative scalar";
+        Bigint.num_bits s)
+      scalars
+  in
   let top = Array.fold_left Stdlib.max 0 len in
   let count = Array.make (top + 1) 0 in
   Array.iter (fun l -> count.(l) <- count.(l) + 1) len;
-  let live = Array.make (top + 1) 0 in
+  (* longer.(b) = number of scalars longer than b bits *)
+  let longer = Array.make (top + 1) 0 in
   for b = top - 1 downto 0 do
-    live.(b) <- live.(b + 1) + count.(b + 1)
+    longer.(b) <- longer.(b + 1) + count.(b + 1)
   done;
   (* stable counting sort: the scalars of length l fill
-     [live.(l), live.(l) + count.(l)) *)
-  let next = Array.copy live and order = Array.make (Array.length scalars) 0 in
+     [longer.(l), longer.(l) + count.(l)) *)
+  let next = Array.copy longer and order = Array.make (Array.length scalars) 0 in
   Array.iteri
     (fun i l ->
       order.(next.(l)) <- i;
       next.(l) <- next.(l) + 1)
     len;
-  let best = Array.make (top + 1) 0 and width = Array.make (top + 1) 0 in
-  for lo = top - 1 downto 0 do
+  let live = Array.init (top + 1) (fun lo -> longer.(Stdlib.max 0 (lo - 1))) in
+  let best = Array.make (top + 2) 0 and width = Array.make (top + 2) 0 in
+  for lo = top downto 0 do
     best.(lo) <- max_int;
-    for c = 1 to Stdlib.min max_window (top - lo) do
-      let cost = live.(lo) + (2 * ((1 lsl c) - 1)) + c + best.(lo + c) in
+    for c = 1 to Stdlib.min max_window (top + 1 - lo) do
+      let cost = live.(lo) + (2 * (1 lsl (c - 1))) + c + best.(lo + c) in
       if cost < best.(lo) then begin
         best.(lo) <- cost;
         width.(lo) <- c
@@ -70,7 +101,7 @@ let plan scalars =
     done
   done;
   let rec windows lo acc =
-    if lo >= top then Array.of_list (List.rev acc)
+    if lo > top then Array.of_list (List.rev acc)
     else windows (lo + width.(lo)) ((lo, width.(lo)) :: acc)
   in
   { order; live; windows = windows 0 [] }
@@ -93,11 +124,12 @@ module Make (G : Group) = struct
          sequential (it is O(top bit) doublings), so the combined result
          is identical for every job count. *)
       let window_sum (lo, c) =
-        let buckets = Array.make ((1 lsl c) - 1) G.zero in
+        let buckets = Array.make (1 lsl (c - 1)) G.zero in
         for k = 0 to live.(lo) - 1 do
           let i = order.(k) in
-          let d = Bigint.bits scalars.(i) ~pos:lo ~len:c in
+          let d = digit scalars.(i) ~lo ~c in
           if d > 0 then buckets.(d - 1) <- G.add buckets.(d - 1) points.(i)
+          else if d < 0 then buckets.(-d - 1) <- G.add buckets.(-d - 1) (G.neg points.(i))
         done;
         (* sum_j j*bucket_j via a running suffix sum *)
         let running = ref G.zero and acc = ref G.zero in
@@ -115,7 +147,7 @@ module Make (G : Group) = struct
       in
       (* window w + 1 starts c_w bits above window w, so the running sum
          is doubled c_w times before window w's sum joins it; from the
-         top window down, nothing is doubled past the longest scalar *)
+         top window down, nothing is doubled past the top window *)
       let result = ref G.zero in
       for w = nwin - 1 downto 0 do
         for _ = 1 to snd windows.(w) do

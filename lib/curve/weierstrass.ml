@@ -72,10 +72,38 @@ struct
       { x = x3; y = y3; z = z3 }
     end
 
-  (* add-2007-bl with doubling/infinity edge cases resolved explicitly. *)
+  (* madd-2007-bl (7M + 4S) for a Jacobian [p] plus an affine [q] (z = 1):
+     U2 = X2·Z1², S2 = Y2·Z1³ against U1 = X1, S1 = Y1, with the same
+     doubling and inverse edge cases as the general formula. *)
+  let add_affine p q =
+    let z1z1 = F.sqr p.z in
+    let u2 = F.mul q.x z1z1 in
+    let s2 = F.mul q.y (F.mul p.z z1z1) in
+    if F.equal p.x u2 then begin
+      if F.equal p.y s2 then double p else zero
+    end
+    else begin
+      let h = F.sub u2 p.x in
+      let hh = F.sqr h in
+      let i = F.double (F.double hh) in
+      let j = F.mul h i in
+      let rr = F.double (F.sub s2 p.y) in
+      let v = F.mul p.x i in
+      let x3 = F.sub (F.sub (F.sqr rr) j) (F.double v) in
+      let y3 = F.sub (F.mul rr (F.sub v x3)) (F.double (F.mul p.y j)) in
+      let z3 = F.sub (F.sub (F.sqr (F.add p.z h)) z1z1) hh in
+      { x = x3; y = y3; z = z3 }
+    end
+
+  (* add-2007-bl (11M + 5S) with doubling/infinity edge cases resolved
+     explicitly; the mixed formula above whenever either operand is
+     affine, which every normalised key base and every bucket holding a
+     single base is. *)
   let add p q =
     if is_zero p then q
     else if is_zero q then p
+    else if F.equal q.z F.one then add_affine p q
+    else if F.equal p.z F.one then add_affine q p
     else begin
       let z1z1 = F.sqr p.z in
       let z2z2 = F.sqr q.z in
@@ -100,6 +128,33 @@ struct
     end
 
   let sub_point p q = add p (neg q)
+
+  (* Montgomery's trick with zero masking, as Batch.invert_all: the
+     points at infinity and the already-affine points contribute F.one to
+     the running products and keep their encoding, so one F.inv serves
+     the whole array. *)
+  let normalize ps =
+    let n = Array.length ps in
+    if n > 0 then begin
+      let todo p = not (is_zero p || F.equal p.z F.one) in
+      (* prefix.(i) = product of the z still to invert among ps.(0..i) *)
+      let prefix = Array.make n F.one in
+      let running = ref F.one in
+      for i = 0 to n - 1 do
+        if todo ps.(i) then running := F.mul !running ps.(i).z;
+        prefix.(i) <- !running
+      done;
+      let inv_all = ref (F.inv !running) in
+      for i = n - 1 downto 0 do
+        let p = ps.(i) in
+        if todo p then begin
+          let zinv = if i = 0 then !inv_all else F.mul !inv_all prefix.(i - 1) in
+          inv_all := F.mul !inv_all p.z;
+          let zinv2 = F.sqr zinv in
+          ps.(i) <- { x = F.mul p.x zinv2; y = F.mul p.y (F.mul zinv2 zinv); z = F.one }
+        end
+      done
+    end
 
   let equal p q =
     match is_zero p, is_zero q with

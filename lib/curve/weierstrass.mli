@@ -42,8 +42,19 @@ end) : sig
   val is_on_curve : t -> bool
   val neg : t -> t
   val double : t -> t
+
+  (** Jacobian addition; takes the mixed formula (7M + 4S instead of
+      11M + 5S) when either operand is affine ([z = F.one]). *)
   val add : t -> t -> t
+
   val sub_point : t -> t -> t
+
+  (** [normalize ps] rewrites every point of [ps] in place to affine
+      form ([z = F.one]) with one field inversion for the whole array;
+      the points at infinity are left as they are. The group elements,
+      and so their serialisations, do not change. *)
+  val normalize : t array -> unit
+
   val equal : t -> t -> bool
 
   (** Double-and-add scalar multiplication; non-negative scalars only. *)

@@ -260,6 +260,16 @@ let setup st qap =
      piles up as well; one full collection here removes that dependence
      (DESIGN substitution 1, Memory). *)
   Gc.full_major ();
+  (* affine MSM bases: every bucket addition of a base then takes the
+     mixed formula. In place, and only once the collection above has
+     freed the fixed-base tables, so the affine copies reuse their space
+     instead of growing the heap; the second collection frees the
+     Jacobian points they replace. Keys decoded from bytes are affine
+     already. *)
+  Span.with_span "setup.normalize" (fun () ->
+      List.iter G1.normalize [ pk.a_query; pk.b_g1_query; pk.h_query; pk.l_query; vk.vk_ic ];
+      G2.normalize pk.b_g2_query);
+  Gc.full_major ();
   (pk, vk)
 
 (* The per-phase spans below mirror the paper's prover cost model: one

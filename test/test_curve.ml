@@ -186,6 +186,127 @@ module G2_suite = Group_suite (struct
   let name = "G2"
 end)
 
+(* ---------------- mixed addition and normalisation ---------------- *)
+
+(* The curve functor instantiated here exposes the Jacobian record, so
+   [add]'s mixed path (an operand with z = 1) is checked against the
+   general add-2007-bl written out below, and [normalize] against the
+   points it rewrites. *)
+module Jacobian_suite (F : sig
+  include Zkvc_curve.Weierstrass.Coord
+
+  val random : Random.State.t -> t
+end) (P : sig
+  val b : F.t
+  val name : string
+
+  (* a random point of the prime-order group, affine *)
+  val random_affine : unit -> F.t * F.t
+end) =
+struct
+  module W = Zkvc_curve.Weierstrass.Make (F) (P)
+
+  (* add-2007-bl on every input, whatever its z *)
+  let add_2007_bl (p : W.t) (q : W.t) =
+    if W.is_zero p then q
+    else if W.is_zero q then p
+    else begin
+      let z1z1 = F.sqr p.z and z2z2 = F.sqr q.z in
+      let u1 = F.mul p.x z2z2 and u2 = F.mul q.x z1z1 in
+      let s1 = F.mul p.y (F.mul q.z z2z2) and s2 = F.mul q.y (F.mul p.z z1z1) in
+      if F.equal u1 u2 then if F.equal s1 s2 then W.double p else W.zero
+      else begin
+        let h = F.sub u2 u1 in
+        let i = F.sqr (F.double h) in
+        let j = F.mul h i in
+        let rr = F.double (F.sub s2 s1) in
+        let v = F.mul u1 i in
+        let x = F.sub (F.sub (F.sqr rr) j) (F.double v) in
+        { W.x;
+          y = F.sub (F.mul rr (F.sub v x)) (F.double (F.mul s1 j));
+          z = F.mul (F.sub (F.sub (F.sqr (F.add p.z q.z)) z1z1) z2z2) h }
+      end
+    end
+
+  let affine () = W.of_affine (P.random_affine ())
+
+  (* the same point with a random z ≠ 1: (λ²x, λ³y, λ) *)
+  let rec jacobian (p : W.t) =
+    let l = F.random st in
+    if F.is_zero l || F.equal l F.one then jacobian p
+    else
+      let l2 = F.sqr l in
+      { W.x = F.mul p.x l2; y = F.mul p.y (F.mul l2 l); z = F.mul p.z l }
+
+  let is_affine (p : W.t) = F.equal p.z F.one
+
+  let tests =
+    let t name f = Alcotest.test_case (P.name ^ " " ^ name) `Quick f in
+    [ t "mixed add = add-2007-bl" (fun () ->
+          for _ = 1 to 10 do
+            let a = affine () and b = affine () in
+            let ja = jacobian a and jb = jacobian b in
+            List.iter
+              (fun (name, p, q) ->
+                let got = W.add p q in
+                check_bool (name ^ " on curve") true (W.is_on_curve got);
+                check_bool name true (W.equal got (add_2007_bl p q)))
+              [ ("P+P", a, a);
+                ("J(P)+P", ja, a);
+                ("P+J(P)", a, ja);
+                ("P+(-P)", a, W.neg a);
+                ("J(P)+(-P)", ja, W.neg a);
+                ("O+A", W.zero, a);
+                ("A+O", a, W.zero);
+                ("affine+affine", a, b);
+                ("Jacobian+affine", jb, a);
+                ("affine+Jacobian", a, jb);
+                ("Jacobian+Jacobian", ja, jb) ];
+            check_bool "P+P = 2P" true (W.equal (W.add a a) (W.double a));
+            check_bool "P+(-P) = O" true (W.is_zero (W.add a (W.neg a)))
+          done);
+      t "normalize round-trips" (fun () ->
+          let a = affine () and b = affine () and c = affine () in
+          let ps =
+            [| W.zero; a; jacobian b; W.zero; jacobian c; a; jacobian (W.double a); b |]
+          in
+          let orig = Array.copy ps in
+          W.normalize ps;
+          Array.iteri
+            (fun i p ->
+              let tag = Printf.sprintf "entry %d" i in
+              check_bool (tag ^ " same point") true (W.equal p orig.(i));
+              check_bool (tag ^ " same bytes") true
+                (Bytes.equal (W.to_bytes p) (W.to_bytes orig.(i)));
+              check_bool (tag ^ " affine or O") true (W.is_zero p || is_affine p))
+            ps;
+          let zeros = [| W.zero; W.zero |] in
+          W.normalize zeros;
+          check_bool "all O" true (Array.for_all W.is_zero zeros);
+          W.normalize [||];
+          let one = [| jacobian a |] in
+          W.normalize one;
+          check_bool "single" true (is_affine one.(0) && W.equal one.(0) a)) ]
+end
+
+module Jacobian_g1_suite =
+  Jacobian_suite
+    (Fq)
+    (struct
+      let b = Fq.of_int 3
+      let name = "G1"
+      let random_affine () = Option.get (G1.to_affine (G1.random st))
+    end)
+
+module Jacobian_g2_suite =
+  Jacobian_suite
+    (Fq2)
+    (struct
+      let b = G2.b_twist
+      let name = "G2"
+      let random_affine () = Option.get (G2.to_affine (G2.random st))
+    end)
+
 (* ---------------- MSM ---------------- *)
 
 module Msm_g1 = Zkvc_curve.Msm.Make (G1)
@@ -215,6 +336,8 @@ module Msm_suite (G : sig
   val zero : t
   val add : t -> t -> t
   val double : t -> t
+  val neg : t -> t
+  val normalize : t array -> unit
   val equal : t -> t -> bool
   val mul_fr : t -> Fr.t -> t
   val random : Random.State.t -> t
@@ -252,6 +375,55 @@ struct
             check_bool name true
               (G.equal (M.msm points scalars) (M.msm_naive ~mul:G.mul_fr points scalars))))
       distributions
+
+  let affine ps =
+    let ps = Array.copy ps in
+    G.normalize ps;
+    ps
+
+  (* bases of every shape a caller passes: affine (normalised keys,
+     hash-to-curve generators), Jacobian (IPA-folded x·G_l + x⁻¹·G_r), a
+     mix, and repeated or negated bases, which drive a bucket through
+     P + P and P + (−P) *)
+  let bases n =
+    let jac = Array.init n (fun _ -> G.random st) in
+    let x = Fr.random st in
+    let xinv = Fr.inv x in
+    let gl = Array.init n (fun _ -> G.random st) and gr = Array.init n (fun _ -> G.random st) in
+    let p = G.random st and q = G.random st in
+    let aff_p = (affine [| p |]).(0) in
+    [ ("affine", affine jac);
+      ("Jacobian", jac);
+      ("IPA-folded", Array.init n (fun i -> G.add (G.mul_fr gl.(i) x) (G.mul_fr gr.(i) xinv)));
+      ("mixed", Array.mapi (fun i b -> if i mod 2 = 0 then b else (affine [| b |]).(0)) jac);
+      ( "duplicated and negated",
+        Array.init n (fun i ->
+            match i mod 6 with
+            | 0 -> p
+            | 1 -> G.neg p
+            | 2 -> aff_p
+            | 3 -> G.neg aff_p
+            | 4 -> q
+            | _ -> G.neg q) ) ]
+
+  let base_tests =
+    [ Alcotest.test_case (G.name ^ " msm = naive over affine, Jacobian and mixed bases") `Quick
+        (fun () ->
+          let n = 48 in
+          (* full-width scalars give negative digits in most windows;
+             r − 1 and equal scalars make buckets meet the same base twice *)
+          let scalars =
+            Array.init n (fun i ->
+                match i mod 4 with 0 -> r_minus_1 | 1 -> small () | _ -> Fr.random st)
+          in
+          List.iter
+            (fun (name, points) ->
+              check_bool name true
+                (G.equal (M.msm points scalars) (M.msm_naive ~mul:G.mul_fr points scalars));
+              let same = Array.make n (Fr.random st) in
+              check_bool (name ^ ", equal scalars") true
+                (G.equal (M.msm points same) (M.msm_naive ~mul:G.mul_fr points same)))
+            (bases n)) ]
 end
 
 module Msm_g1_suite = Msm_suite (struct
@@ -264,8 +436,13 @@ module Msm_g2_suite = Msm_suite (struct
   let name = "G2"
 end)
 
+module Fb_g1 = Zkvc_curve.Fixed_base.Make (G1)
+
 let plan_tests =
-  [ Alcotest.test_case "planned windows tile [0, longest bit length)" `Quick (fun () ->
+  let pow2 k = B.shift_left B.one k in
+  [ Alcotest.test_case "planned windows tile [0, longest bit length + 1)" `Quick (fun () ->
+        (* signed digits carry out of each window's top bit, so the top
+           window must read the zero bit above the longest scalar *)
         let check name scalars =
           let bs = Array.map Fr.to_bigint scalars in
           let top = Array.fold_left (fun m s -> max m (B.num_bits s)) 0 bs in
@@ -276,14 +453,49 @@ let plan_tests =
                 lo + c)
               0 (Zkvc_curve.Msm.windows bs)
           in
-          Alcotest.(check int) (name ^ ": ends at the top bit") top next
+          Alcotest.(check int) (name ^ ": ends above the top bit") (top + 1) next
         in
         List.iter (fun (name, scalars) -> check name scalars) Msm_g1_suite.distributions;
         let six = Array.init 128 (fun i -> Fr.of_int (i mod 64)) in
         check "6-bit" six;
         Alcotest.(check (list (pair int int)))
-          "128 six-bit scalars: one 6-bit window" [ (0, 6) ]
-          (Array.to_list (Zkvc_curve.Msm.windows (Array.map Fr.to_bigint six)))) ]
+          "128 six-bit scalars: one 7-bit window" [ (0, 7) ]
+          (Array.to_list (Zkvc_curve.Msm.windows (Array.map Fr.to_bigint six))));
+    Alcotest.test_case "signed digits rebuild every scalar below 2^8" `Quick (fun () ->
+        let rebuild s windows =
+          Array.fold_left
+            (fun acc (lo, c) ->
+              let d = Zkvc_curve.Msm.digit s ~lo ~c in
+              if abs d > 1 lsl (c - 1) then
+                Alcotest.failf "s=%s: digit %d of window (%d, %d) out of range" (B.to_string s)
+                  d lo c;
+              acc + (d lsl lo))
+            0 windows
+        in
+        let all = Array.init 256 B.of_int in
+        (* every uniform width up to 8, tiling [0, 9) with a narrower top *)
+        for c = 1 to 8 do
+          let windows = Array.init ((8 + c) / c) (fun w -> (w * c, min c (9 - (w * c)))) in
+          Array.iteri
+            (fun i s -> Alcotest.(check int) (Printf.sprintf "width %d" c) i (rebuild s windows))
+            all
+        done;
+        (* and the planned windows, for each scalar alone and for all of them *)
+        let planned = Zkvc_curve.Msm.windows all in
+        Array.iteri
+          (fun i s ->
+            Alcotest.(check int) "own plan" i (rebuild s (Zkvc_curve.Msm.windows [| s |]));
+            Alcotest.(check int) "shared plan" i (rebuild s planned))
+          all);
+    Alcotest.test_case "msm_bigint refuses a negative scalar" `Quick (fun () ->
+        Alcotest.check_raises "msm_bigint" (Invalid_argument "Msm: negative scalar") (fun () ->
+            ignore (Msm_g1.msm_bigint [| G1.generator |] [| B.of_int (-3) |])));
+    Alcotest.test_case "fixed-base mul refuses scalars wider than its table" `Quick (fun () ->
+        let t = Fb_g1.create G1.generator in
+        check_bool "2^253" true
+          (G1.equal (Fb_g1.mul_bigint t (pow2 253)) (G1.mul G1.generator (pow2 253)));
+        Alcotest.check_raises "2^254" (Invalid_argument "Fixed_base.mul: scalar too wide")
+          (fun () -> ignore (Fb_g1.mul_bigint t (pow2 254)))) ]
 
 (* ---------------- pairing ---------------- *)
 
@@ -365,5 +577,8 @@ let () =
     [ ("tower", tower_tests);
       ("g1", G1_suite.tests);
       ("g2", G2_suite.tests);
-      ("msm", msm_tests @ plan_tests @ Msm_g1_suite.tests @ Msm_g2_suite.tests);
+      ("points", Jacobian_g1_suite.tests @ Jacobian_g2_suite.tests);
+      ( "msm",
+        msm_tests @ plan_tests @ Msm_g1_suite.tests @ Msm_g2_suite.tests
+        @ Msm_g1_suite.base_tests @ Msm_g2_suite.base_tests );
       ("pairing", pairing_tests) ]

@@ -168,6 +168,30 @@ let kernel_tests =
         check_bool "j4" true (Bytes.equal r1 (run 4));
         check_bool "= naive" true
           (Bytes.equal r1 (G1.to_bytes (Msm.msm_naive ~mul:G1.mul_fr points scalars))));
+    Alcotest.test_case "signed-digit MSM identical for jobs 1/2/4, affine and Jacobian bases"
+      `Quick (fun () ->
+        let scalars = Array.init 300 (fun _ -> Fr.random st) in
+        (* every window below the top one (whose top bit is the zero bit
+           above the longest scalar) holds a negative digit *)
+        let bs = Array.map Fr.to_bigint scalars in
+        let windows = Zkvc_curve.Msm.windows bs in
+        Array.iteri
+          (fun w (lo, c) ->
+            if w < Array.length windows - 1 then
+              check_bool (Printf.sprintf "negative digit in window %d" w) true
+                (Array.exists (fun s -> Zkvc_curve.Msm.digit s ~lo ~c < 0) bs))
+          windows;
+        let jacobian = Array.map (fun _ -> G1.random st) scalars in
+        let affine = Array.copy jacobian in
+        G1.normalize affine;
+        let run points j = with_jobs j (fun () -> G1.to_bytes (Msm.msm points scalars)) in
+        let r1 = run jacobian 1 in
+        List.iter
+          (fun (name, points) ->
+            check_bool (name ^ " j1") true (Bytes.equal r1 (run points 1));
+            check_bool (name ^ " j2") true (Bytes.equal r1 (run points 2));
+            check_bool (name ^ " j4") true (Bytes.equal r1 (run points 4)))
+          [ ("Jacobian", jacobian); ("affine", affine) ]);
     Alcotest.test_case "Pedersen blinder term = mul_fr, first use on 4 domains" `Quick
       (fun () ->
         (* the shared blinder table is built on first use; several domains

@@ -11,7 +11,7 @@
      micro substrate micro-benchmarks (Bechamel)
 
    Usage: main.exe [--full] [--only SECTIONS] [--scale N] [--jobs N]
-                   [--repeat N] [--json FILE]
+                   [--repeat N] [--agg-max N] [--optimize] [--json FILE]
      --full       run matmul benches at the paper's dimensions (slow)
      --scale N    divide matmul dimensions by N (default 4; 1 = paper size)
      --jobs N     prover worker domains (0 = all cores; default
@@ -24,9 +24,9 @@
      --optimize   run the R1CS optimiser pipeline (lib/opt) on every matmul
                   circuit before setup/prove; -O for short
      --json FILE  also write every matmul measurement as a schema-versioned
-                  Zkvc_obs.Report (the perf trajectory diffed by
-                  tools/perf_diff); "-" writes the report to stdout and
-                  moves the human tables to stderr so it pipes cleanly
+                  Zkvc_obs.Report (tools/ci.sh reads its timings); "-"
+                  writes the report to stdout and moves the human tables
+                  to stderr so it pipes cleanly
 
    Human tables go to stdout; progress and log chatter go to stderr
    (swapped as described above under --json -).
@@ -70,10 +70,6 @@ let repeat = ref 1
 let only : string list ref = ref []
 let json_file : string option ref = ref None
 
-(* --profile: attach the constraint-provenance region tree to every
-   report measurement (zkvc-bench/3 "regions" block) *)
-let profile = ref false
-
 (* --optimize: run the R1CS optimiser pipeline (Zkvc_opt) on every
    matmul circuit before setup/prove *)
 let optimize = ref false
@@ -95,7 +91,7 @@ let agg_max = ref 16
 let usage_error msg =
   Printf.eprintf "bench: %s\n" msg;
   Printf.eprintf
-    "usage: main.exe [--full] [--scale N] [--jobs N] [--only SECTIONS] [--repeat N] [--json FILE] [--profile] [--optimize]\n";
+    "usage: main.exe [--full] [--scale N] [--jobs N] [--only SECTIONS] [--repeat N] [--agg-max N] [--json FILE] [--optimize]\n";
   exit 2
 
 let () =
@@ -149,9 +145,6 @@ let () =
       json_file := Some f;
       parse rest
     | [ "--json" ] -> usage_error "--json expects an argument"
-    | "--profile" :: rest ->
-      profile := true;
-      parse rest
     | "--optimize" :: rest | "-O" :: rest ->
       optimize := true;
       parse rest
@@ -168,42 +161,7 @@ let () =
 let enabled section = !only = [] || List.mem section !only
 
 (* ------------------------------------------------------------------ *)
-(* machine-readable report (Zkvc_obs.Report, schema zkvc-bench/3)       *)
-
-(* Commit of the measured tree, read straight from .git so the bench
-   needs no subprocess: HEAD is either a detached sha or a symref into
-   refs/ (possibly packed). Best effort — "unknown" on any surprise. *)
-let git_rev () =
-  let read_line path =
-    try
-      let ic = open_in path in
-      Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
-          Some (String.trim (input_line ic)))
-    with Sys_error _ | End_of_file -> None
-  in
-  match read_line ".git/HEAD" with
-  | None -> "unknown"
-  | Some head ->
-    if String.length head >= 5 && String.sub head 0 5 = "ref: " then begin
-      let r = String.sub head 5 (String.length head - 5) in
-      match read_line (Filename.concat ".git" r) with
-      | Some sha -> sha
-      | None -> (
-        (* loose ref absent: look for "SHA refs/..." in packed-refs *)
-        try
-          let ic = open_in ".git/packed-refs" in
-          Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
-              let rec scan () =
-                let line = input_line ic in
-                match String.index_opt line ' ' with
-                | Some i when String.sub line (i + 1) (String.length line - i - 1) = r ->
-                  String.sub line 0 i
-                | _ -> scan ()
-              in
-              try scan () with End_of_file -> "unknown")
-        with Sys_error _ -> "unknown")
-    end
-    else head
+(* machine-readable report (Zkvc_obs.Report)                           *)
 
 let iso8601_utc_now () =
   let tm = Unix.gmtime (Unix.gettimeofday ()) in
@@ -237,12 +195,8 @@ let record_measurement ~section ~scheme (ms : Api.measurement list) =
         top_heap_words = m.Api.top_heap_words;
         major_collections = m.Api.major_collections }
     in
-    (* drop synthesis/prove timing from the attached tree: the report's
-       region block is the structural ledger (gated exactly by the perf
-       differ), while wall time stays in the reps *)
-    let regions = if !profile then Some (Obs.Attrib.strip_timing m.Api.regions) else None in
     report_measurements :=
-      Obs.Report.summarize ?regions ~section ~scheme
+      Obs.Report.summarize ~section ~scheme
         ~strategy:(Mc.strategy_name m.Api.strategy)
         ~backend:(Api.backend_name m.Api.backend)
         ~dims:(m.Api.dims.Mspec.a, m.Api.dims.Mspec.n, m.Api.dims.Mspec.b)
@@ -256,8 +210,7 @@ let write_json_report () =
   | Some file ->
     let report =
       { Obs.Report.env =
-          { Obs.Report.git_rev = git_rev ();
-            ocaml_version = Sys.ocaml_version;
+          { Obs.Report.ocaml_version = Sys.ocaml_version;
             nproc = Domain.recommended_domain_count ();
             jobs = Zkvc_parallel.jobs ();
             scale = !scale;
@@ -473,9 +426,9 @@ let run_tab2 () =
    backend's combined batch check, and (Groth16) compressed into one
    SnarkPack aggregate. Report rows (section "agg"):
      setup_s  = per-proof INDIVIDUAL verify seconds (the amortised baseline)
-     prove_s  = total combined-check seconds for the whole batch (gated)
+     prove_s  = total combined-check seconds for the whole batch
      verify_s = per-proof combined seconds — the number that must fall as
-                N grows
+                N grows (tools/ci.sh asserts it is below setup_s at N=16)
    [proof_bytes] carries the single-proof size for batch rows and the
    aggregate blob size for snarkpack rows (constant-ish vs N x 259 B). *)
 let run_agg () =
@@ -525,7 +478,7 @@ let run_agg () =
           nonzero_a = stats.Api.Cs.nonzero_a;
           nonzero_b = stats.Api.Cs.nonzero_b;
           nonzero_c = stats.Api.Cs.nonzero_c;
-          witness = Array.length prep0.Api.assignment;
+          witness = Api.Cs.num_aux prep0.Api.cs;
           top_heap_words = 0;
           major_collections = 0 }
       in

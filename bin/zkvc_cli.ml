@@ -330,64 +330,33 @@ let model_cmd =
 
 (* ---- profile ---- *)
 
-let iso8601_utc_now () =
-  let tm = Unix.gmtime (Unix.gettimeofday ()) in
-  Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
-    tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
-
-(* [profile --compare A.json B.json]: per-region delta of two reports'
-   attribution trees. Regions are flattened to slash-joined paths (self
-   counts, so parents and children never double-count); the union of
-   paths is diffed and sorted by nonzero saving. *)
+(* [profile --compare A.json B.json]: per-region delta of two region
+   trees written by [profile --json]. Regions are matched by path (self
+   counts, so parents and children never double-count) and sorted by
+   nonzero saving. *)
 let profile_compare ~baseline ~candidate =
   match candidate with
   | None ->
-    Printf.eprintf "zkvc_cli: --compare needs a second report file argument\n";
+    Printf.eprintf "zkvc_cli: --compare needs a second region-tree file argument\n";
     2
   | Some candidate -> (
-    let flatten tree =
-      (* path -> (constraints, nnz) of the region's self cost *)
-      let tbl = Hashtbl.create 64 in
-      let rec go prefix node =
-        let path =
-          if prefix = "" then node.Obs.Attrib.name
-          else prefix ^ "/" ^ node.Obs.Attrib.name
-        in
-        let c = node.Obs.Attrib.self in
-        Hashtbl.replace tbl path
-          ( c.Obs.Attrib.constraints,
-            c.Obs.Attrib.nnz_a + c.Obs.Attrib.nnz_b + c.Obs.Attrib.nnz_c );
-        List.iter (go path) node.Obs.Attrib.children
-      in
-      go "" tree;
-      tbl
-    in
     let load path =
-      match Obs.Report.of_string (Bytes.to_string (read_file path)) with
+      match Obs.Json.of_string (Bytes.to_string (read_file path)) with
       | exception Sys_error msg -> Error msg
       | Error e -> Error (path ^ ": " ^ e)
-      | Ok r -> (
-        match
-          List.find_map (fun m -> m.Obs.Report.regions) r.Obs.Report.measurements
-        with
-        | Some tree -> Ok (flatten tree)
-        | None -> Error (path ^ ": no measurement carries a region tree"))
+      | Ok v -> Result.map_error (fun e -> path ^ ": " ^ e) (Obs.Attrib.of_json v)
     in
     match (load baseline, load candidate) with
     | Error e, _ | _, Error e ->
       Printf.eprintf "zkvc_cli: %s\n" e;
       2
-    | Ok a, Ok b ->
-      let paths = Hashtbl.create 64 in
-      Hashtbl.iter (fun p _ -> Hashtbl.replace paths p ()) a;
-      Hashtbl.iter (fun p _ -> Hashtbl.replace paths p ()) b;
-      let get tbl p = Option.value ~default:(0, 0) (Hashtbl.find_opt tbl p) in
+    | Ok old_, Ok new_ ->
       let rows =
-        Hashtbl.fold
-          (fun p () acc ->
-            let ca, na = get a p and cb, nb = get b p in
-            if ca = cb && na = nb then acc else (p, cb - ca, nb - na) :: acc)
-          paths []
+        Obs.Attrib.deltas ~old_ ~new_
+        |> List.filter_map (fun (p, (d : Obs.Attrib.counts)) ->
+               let dn = d.Obs.Attrib.nnz_a + d.Obs.Attrib.nnz_b + d.Obs.Attrib.nnz_c in
+               if d.Obs.Attrib.constraints = 0 && dn = 0 then None
+               else Some (p, d.Obs.Attrib.constraints, dn))
         (* largest nonzero saving first; ties by path for stable output *)
         |> List.sort (fun (p1, _, n1) (p2, _, n2) ->
                match compare n1 n2 with 0 -> compare p1 p2 | c -> c)
@@ -415,9 +384,9 @@ let profile_cmd =
   let json_arg =
     Arg.(value & opt (some string) None
          & info [ "json" ] ~docv:"FILE"
-             ~doc:"Write a zkvc-bench/3 report (one measurement, section \
-                   $(b,profile)) with the region tree embedded, diffable \
-                   with $(b,perf_diff).")
+             ~doc:"Write the region tree as JSON (self counts, witness and \
+                   prove-share seconds per region), comparable with \
+                   $(b,--compare).")
   in
   let arch_arg =
     Arg.(value & opt (some arch_conv) None
@@ -439,15 +408,15 @@ let profile_cmd =
   let compare_arg =
     Arg.(value & opt (some string) None
          & info [ "compare" ] ~docv:"BASELINE.json"
-             ~doc:"Diff two zkvc-bench/3 reports instead of profiling: \
+             ~doc:"Diff two region trees instead of profiling: \
                    $(b,zkvc_cli profile --compare A.json B.json) prints the \
                    per-region constraint and nonzero deltas of B relative to \
-                   A, sorted by nonzero saving. Both files need embedded \
-                   region trees ($(b,--json) output, $(b,bench --profile)).")
+                   A, sorted by nonzero saving. Both files are \
+                   $(b,--json) output.")
   in
   let compare_to_arg =
     Arg.(value & pos 0 (some string) None
-         & info [] ~docv:"NEW.json" ~doc:"Second report for $(b,--compare).")
+         & info [] ~docv:"NEW.json" ~doc:"Second region tree for $(b,--compare).")
   in
   let run d strategy backend seed jobs arch variant shrink folded json_file optimize
       compare compare_to =
@@ -457,7 +426,7 @@ let profile_cmd =
     Zkvc_parallel.set_jobs jobs;
     let optimize = opt_of_flag optimize in
     let rng = Random.State.make [| seed |] in
-    let cs, assignment, tree, opt_report, dims, section =
+    let cs, assignment, tree, opt_report, section =
       match arch with
       | None ->
         (* the same seeded instance [prove] uses *)
@@ -465,7 +434,7 @@ let profile_cmd =
         let w = Spec.random_matrix rng ~rows:d.Mspec.n ~cols:d.Mspec.b ~bound:256 in
         let prep = Api.prepare ?optimize strategy ~x ~w d in
         let report = Option.map (fun o -> o.Api.opt_report) prep.Api.opt in
-        (prep.Api.cs, prep.Api.assignment, prep.Api.regions, report, d, "profile")
+        (prep.Api.cs, prep.Api.assignment, prep.Api.regions, report, "profile")
       | Some arch ->
         let arch = Models.shrink arch ~factor:shrink in
         let layers = Compiler.compile arch variant in
@@ -474,7 +443,7 @@ let profile_cmd =
         (match optimize with
          | None ->
            let cs, assignment, tree = Compiler.Counter.B.finalize_attributed b in
-           (cs, assignment, tree, None, d, section)
+           (cs, assignment, tree, None, section)
          | Some config ->
            let cs, assignment, tree, prov =
              Compiler.Counter.B.finalize_with_provenance b
@@ -491,7 +460,7 @@ let profile_cmd =
            let tree = Option.value ~default:tree res.Api.Opt.regions in
            ( res.Api.Opt.cs,
              Api.Opt.expand_witness res.Api.Opt.map assignment,
-             tree, Some res.Api.Opt.report, d, section ))
+             tree, Some res.Api.Opt.report, section ))
     in
     (match opt_report with
      | Some r -> Format.printf "%a@.@." Api.Opt.pp_report r
@@ -552,42 +521,10 @@ let profile_cmd =
      | None -> ());
     (match json_file with
      | Some file ->
-       let ledger =
-         { Obs.Report.constraints = stats.Api.Cs.constraints;
-           variables = stats.Api.Cs.variables;
-           nonzero_a = stats.Api.Cs.nonzero_a;
-           nonzero_b = stats.Api.Cs.nonzero_b;
-           nonzero_c = stats.Api.Cs.nonzero_c;
-           witness = Api.Cs.num_aux cs;
-           top_heap_words = (Gc.quick_stat ()).Gc.top_heap_words;
-           major_collections = (Gc.quick_stat ()).Gc.major_collections }
-       in
-       let m =
-         Obs.Report.summarize
-           ~regions:(Obs.Attrib.strip_timing tree)
-           ~section ~scheme:"profile" ~strategy:(Mc.strategy_name strategy)
-           ~backend:(Api.backend_name backend)
-           ~dims:(dims.Mspec.a, dims.Mspec.n, dims.Mspec.b)
-           ~reps:[ { Obs.Report.setup_s = t1 -. t0; prove_s; verify_s = t3 -. t2 } ]
-           ~proof_bytes:(Api.proof_size proof) ~ledger ()
-       in
-       let report =
-         { Obs.Report.env =
-             { Obs.Report.git_rev = "unknown";
-               ocaml_version = Sys.ocaml_version;
-               nproc = Domain.recommended_domain_count ();
-               jobs = Zkvc_parallel.jobs ();
-               scale = 1;
-               full = false;
-               clock = "monotonic";
-               date = iso8601_utc_now () };
-           sections = [ section ];
-           measurements = [ m ] }
-       in
        let oc = open_out file in
-       output_string oc (Obs.Json.to_string_pretty (Obs.Report.to_json report));
+       output_string oc (Obs.Json.to_string_pretty (Obs.Attrib.to_json tree));
        close_out oc;
-       Printf.printf "report: %s\n" file
+       Printf.printf "region tree: %s\n" file
      | None -> ());
     if not ok then 1 else if not sum_ok then 3 else 0
   in

@@ -25,6 +25,8 @@ let setup st ~degree =
         if i > 0 then acc := Fr.mul !acc tau;
         Fb.mul table !acc)
   in
+  (* affine powers: every commitment MSM then takes the mixed addition *)
+  G1.normalize powers_g1;
   { powers_g1; tau_g2 = G2.mul_fr G2.generator tau }
 
 let max_degree srs = Array.length srs.powers_g1 - 1
@@ -85,6 +87,7 @@ let setup_g2 st ~degree =
         if i > 0 then acc := Fr.mul !acc tau;
         Fb_g2.mul table !acc)
   in
+  G2.normalize powers_g2;
   { powers_g2; tau_g1 = G1.mul_fr G1.generator tau }
 
 let max_degree_g2 srs = Array.length srs.powers_g2 - 1

@@ -3,8 +3,8 @@
    apportioned prove-time share) to the nested regions the builder was
    inside when each constraint was emitted. The tree is produced by
    [Zkvc_r1cs.Builder] (this module deliberately knows nothing about
-   R1CS — only about the counts) and consumed by the profiler CLI, the
-   bench report (schema zkvc-bench/3) and the perf differ. *)
+   R1CS — only about the counts) and consumed by the profiler CLI and
+   the golden region tests. *)
 
 type counts =
   { constraints : int;
@@ -153,7 +153,7 @@ let to_table root =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* JSON codec (exact round-trip, same discipline as Report)            *)
+(* JSON codec (exact round-trip)                                       *)
 
 exception Bad of string
 
@@ -203,14 +203,15 @@ let rec node_of_json v =
 let of_json v = match node_of_json v with n -> Ok n | exception Bad msg -> Error msg
 
 (* ------------------------------------------------------------------ *)
-(* region-level drift detection (used by Diff)                         *)
+(* region-level comparison (drift notes, profile --compare)            *)
 
-(* Flatten to path -> structural counts; duplicate paths (impossible
-   from the builder, which interns by (parent, name)) merge by sum. *)
+(* Flatten to path -> self counts, paths slash-joined from the root's
+   name; duplicate paths (impossible from the builder, which interns by
+   (parent, name)) merge by sum. *)
 let flatten root =
   let tbl = Hashtbl.create 64 in
-  let rec go path n =
-    let path = path ^ "/" ^ n.name in
+  let rec go prefix n =
+    let path = if prefix = "" then n.name else prefix ^ "/" ^ n.name in
     let prev = Option.value (Hashtbl.find_opt tbl path) ~default:zero_counts in
     Hashtbl.replace tbl path (add_counts prev n.self);
     List.iter (go path) n.children
@@ -218,9 +219,15 @@ let flatten root =
   go "" root;
   tbl
 
-let drift_notes ~old_ ~new_ =
+(* every path of either tree, sorted, with its self counts on each side *)
+let paired ~old_ ~new_ =
   let o = flatten old_ and n = flatten new_ in
-  let notes = ref [] in
+  let keys tbl = Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] in
+  List.map
+    (fun path -> (path, Hashtbl.find_opt o path, Hashtbl.find_opt n path))
+    (List.sort_uniq compare (keys o @ keys n))
+
+let drift_notes ~old_ ~new_ =
   let fields c =
     [ ("constraints", c.constraints);
       ("variables", c.variables);
@@ -228,24 +235,35 @@ let drift_notes ~old_ ~new_ =
       ("nnz_b", c.nnz_b);
       ("nnz_c", c.nnz_c) ]
   in
-  let keys tbl = Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] in
-  let all = List.sort_uniq compare (keys o @ keys n) in
-  List.iter
-    (fun path ->
-      match (Hashtbl.find_opt o path, Hashtbl.find_opt n path) with
+  List.concat_map
+    (fun (path, o, n) ->
+      match (o, n) with
       | Some oc, Some nc ->
-        List.iter2
-          (fun (f, ov) (_, nv) ->
-            if ov <> nv then
-              notes := Printf.sprintf "region %s: %s %d -> %d" path f ov nv :: !notes)
-          (fields oc) (fields nc)
-      | Some oc, None ->
-        notes := Printf.sprintf "region %s: removed (%d constraints)" path oc.constraints :: !notes
-      | None, Some nc ->
-        notes := Printf.sprintf "region %s: added (%d constraints)" path nc.constraints :: !notes
-      | None, None -> ())
-    all;
-  List.rev !notes
+        List.concat
+          (List.map2
+             (fun (f, ov) (_, nv) ->
+               if ov <> nv then [ Printf.sprintf "region %s: %s %d -> %d" path f ov nv ]
+               else [])
+             (fields oc) (fields nc))
+      | Some oc, None -> [ Printf.sprintf "region %s: removed (%d constraints)" path oc.constraints ]
+      | None, Some nc -> [ Printf.sprintf "region %s: added (%d constraints)" path nc.constraints ]
+      | None, None -> [])
+    (paired ~old_ ~new_)
+
+let deltas ~old_ ~new_ =
+  let sub x y =
+    { constraints = x.constraints - y.constraints;
+      variables = x.variables - y.variables;
+      nnz_a = x.nnz_a - y.nnz_a;
+      nnz_b = x.nnz_b - y.nnz_b;
+      nnz_c = x.nnz_c - y.nnz_c }
+  in
+  List.filter_map
+    (fun (path, o, n) ->
+      let get = Option.value ~default:zero_counts in
+      let d = sub (get n) (get o) in
+      if d = zero_counts then None else Some (path, d))
+    (paired ~old_ ~new_)
 
 let top_regions ?(n = 3) root =
   let rec leaves path node acc =

@@ -12,8 +12,7 @@
 
     Exporters: an aligned terminal table ({!to_table}), collapsed-stack
     text ({!to_folded}, flamegraph.pl / speedscope compatible), and a
-    JSON codec ({!to_json}/{!of_json}) with the same exact round-trip
-    discipline as {!Report}. This module knows nothing about R1CS — it
+    JSON codec ({!to_json}/{!of_json}) that round-trips exactly. This module knows nothing about R1CS — it
     only aggregates counts the builder hands it, which keeps the obs
     library dependency-free. *)
 
@@ -79,10 +78,16 @@ val to_json : t -> Json.t
 val of_json : Json.t -> (t, string) result
 
 (** Human-readable notes for structural differences between two trees,
-    matched by path: changed counts field-by-field, plus added/removed
-    regions. Empty when structurally identical. Timing fields are
-    ignored. *)
+    matched by path (region names slash-joined from the root's): changed
+    counts field-by-field, plus added/removed regions. Empty when
+    structurally identical. Timing fields are ignored. *)
 val drift_notes : old_:t -> new_:t -> string list
+
+(** Per-path self-count differences [new_ − old_], sorted by path, for
+    every path whose counts differ; a region present in one tree only
+    counts as zero in the other. Timing fields are ignored. Basis of
+    [zkvc_cli profile --compare]. *)
+val deltas : old_:t -> new_:t -> (string * counts) list
 
 (** The [n] (default 3) hottest regions by self constraint count, as
     [(path, constraints)] with the synthetic root segment dropped. *)

@@ -1,8 +1,7 @@
-(** Schema-versioned benchmark reports — the repository's perf-trajectory
-    format (committed as [BENCH_NNNN.json], diffed by [tools/perf_diff]).
+(** Schema-versioned benchmark reports, written by [bench --json].
 
-    A report is an environment block (who measured, on what) plus one
-    {!measurement} per (section, scheme, strategy, backend, dims) key.
+    A report is an environment block (what ran, on what) plus one
+    {!measurement} per (section, scheme, strategy, backend, dims) cell.
     Every measurement carries its per-repetition timings, the robust
     summary derived from them ({!Stats}: median + MAD), and a {b cost
     ledger} — the resource counts the zkVC paper's claims are actually
@@ -11,17 +10,14 @@
     the mechanism (fewer constraints, sparser A) next to its effect
     (lower proving time).
 
-    JSON encoding round-trips exactly: [of_json (to_json r) = Ok r]. *)
+    The module only writes: exact structural counts are pinned by the
+    dune tests, and [tools/ci.sh] reads the timing fields with awk. *)
 
-(** Current schema identifier, ["zkvc-bench/3"]: version 2 plus an
-    optional per-measurement ["regions"] constraint-provenance tree.
-    It is the only schema {!of_json} reads; earlier versions are
-    refused. *)
+(** Current schema identifier, ["zkvc-bench/4"]. *)
 val schema : string
 
 type env =
-  { git_rev : string;  (** commit of the measured tree, or ["unknown"] *)
-    ocaml_version : string;
+  { ocaml_version : string;
     nproc : int;  (** cores visible to the runner *)
     jobs : int;  (** prover worker domains ([Zkvc_parallel.jobs]) *)
     scale : int;  (** bench [--scale] divisor *)
@@ -34,8 +30,7 @@ type env =
     counts are per QAP column family (= R1CS matrix) A/B/C; [nonzero_a]
     is the paper's "left wires". [witness] is the private witness length
     ([num_aux]). [top_heap_words]/[major_collections] are GC cost of the
-    run (the only non-deterministic fields; the differ never gates on
-    them). *)
+    run (the only non-deterministic fields). *)
 type ledger =
   { constraints : int;
     variables : int;
@@ -67,10 +62,7 @@ type measurement =
     verify_s : float;  (** median across reps *)
     verify_mad_s : float;
     proof_bytes : int;
-    ledger : ledger;
-    regions : Attrib.t option
-        (** constraint-provenance tree ([bench --profile] /
-            [zkvc_cli profile]); [None] for non-profiled runs *) }
+    ledger : ledger }
 
 type t =
   { env : env;
@@ -80,7 +72,6 @@ type t =
 (** Build a measurement's summary fields (medians, MADs) from its reps.
     Raises [Invalid_argument] on an empty rep list. *)
 val summarize :
-  ?regions:Attrib.t ->
   section:string ->
   scheme:string ->
   strategy:string ->
@@ -92,12 +83,4 @@ val summarize :
   unit ->
   measurement
 
-(** Identity of a measurement across runs:
-    ["section/scheme/strategy/backend/AxNxB"]. *)
-val key : measurement -> string
-
 val to_json : t -> Json.t
-val of_json : Json.t -> (t, string) result
-
-(** Parse a report from raw JSON text (file contents). *)
-val of_string : string -> (t, string) result

@@ -1,6 +1,5 @@
-(** Robust statistics for repeated timing measurements, shared by the
-    bench harness (per-measurement summaries in {!Report}) and the
-    perf-trajectory differ ({!Diff}).
+(** Robust statistics for repeated timing measurements: the bench
+    harness's per-measurement summaries in {!Report}.
 
     Medians and the median absolute deviation are used instead of
     mean/stddev because bench samples are few (3–10 reps) and heavy-tailed

@@ -1,8 +1,9 @@
 (* Constraint provenance: qcheck invariants on region trees and their
-   exporters, builder-level attribution (nesting, interning, the
-   canonical wire permutation, --jobs), and the structural cross-check
-   between the zkml compiler's closed-form counts and a real
-   region-attributed synthesis of the same model. *)
+   exporters, drift notes and per-region deltas, builder-level
+   attribution (nesting, interning, the canonical wire permutation,
+   --jobs), the golden Table II ledgers and region trees, and the
+   structural cross-check between the zkml compiler's closed-form counts
+   and a real region-attributed synthesis of the same model. *)
 
 module Fr = Zkvc_field.Fr
 module Attrib = Zkvc_obs.Attrib
@@ -165,14 +166,15 @@ let test_reentered_region_accumulates () =
   check_int "three constraints accumulated" 3
     (find_child "loop" tree).Attrib.self.Attrib.constraints
 
+let prepare ?optimize ~dims:(a, n, b) strategy =
+  let rng = Random.State.make [| 11 |] in
+  let x = Spec_fr.random_matrix rng ~rows:a ~cols:n ~bound:64 in
+  let w = Spec_fr.random_matrix rng ~rows:n ~cols:b ~bound:64 in
+  Api.prepare ?optimize strategy ~x ~w (Mspec.dims ~a ~n ~b)
+
 let prepared_tree ~jobs strategy =
   Zkvc_parallel.set_jobs jobs;
-  let rng = Random.State.make [| 11 |] in
-  let dims = Mspec.dims ~a:3 ~n:4 ~b:2 in
-  let x = Spec_fr.random_matrix rng ~rows:3 ~cols:4 ~bound:64 in
-  let w = Spec_fr.random_matrix rng ~rows:4 ~cols:2 ~bound:64 in
-  let prep = Api.prepare strategy ~x ~w dims in
-  Attrib.strip_timing prep.Api.regions
+  Attrib.strip_timing (prepare ~dims:(3, 4, 2) strategy).Api.regions
 
 let test_jobs_invariance () =
   let saved = Zkvc_parallel.jobs () in
@@ -186,6 +188,151 @@ let test_jobs_invariance () =
             true
             (prepared_tree ~jobs:1 strategy = prepared_tree ~jobs:4 strategy))
         Mc.all_strategies)
+
+(* ------------------------------------------------------------------ *)
+(* golden Table II ledgers and region trees                            *)
+
+let counts constraints variables nnz_a nnz_b nnz_c =
+  { Attrib.constraints; variables; nnz_a; nnz_b; nnz_c }
+
+(* The paper's Table II CRPC x PSQ circuits at 3x4x8 (bench tab2 at
+   --scale 16). Per strategy: the global ledger as (constraints,
+   variables, nnz A/B/C) plus the witness length (num_aux), and the self
+   counts of the strategy's region. Every tree is all/matmul/{alloc,
+   <strategy>}, with the 68 wires of X, W and Y allocated in
+   matmul/alloc. *)
+let golden =
+  [ (Mc.Vanilla, counts 120 165 192 120 120, 140, counts 120 96 192 120 120);
+    (Mc.Vanilla_psq, counts 96 141 96 96 168, 116, counts 96 72 96 96 168);
+    (Mc.Crpc, counts 5 73 16 33 28, 48, counts 5 4 16 33 28);
+    (Mc.Crpc_psq, counts 4 72 12 32 30, 47, counts 4 3 12 32 30) ]
+
+let golden_tree strategy self =
+  let z = Attrib.zero_counts in
+  Attrib.make ~name:"all" ~self:z
+    [ Attrib.make ~name:"matmul" ~self:z
+        [ Attrib.make ~name:"alloc" ~self:{ z with Attrib.variables = 68 } [];
+          Attrib.make ~name:(Mc.strategy_name strategy) ~self [] ] ]
+
+(* every golden strategy prepared at 3x4x8 without and with the
+   optimiser, labelled for the failure messages; shared by both tests *)
+let golden_prepared =
+  lazy
+    (List.map
+       (fun ((strategy, _, _, _) as g) ->
+         let name = Mc.strategy_name strategy in
+         ( g,
+           [ (name, prepare ~dims:(3, 4, 8) strategy);
+             (name ^ " -O", prepare ~optimize:Api.Opt.default ~dims:(3, 4, 8) strategy) ] ))
+       golden)
+
+let ledger (p : Api.prepared) =
+  let s = Api.Cs.stats p.Api.cs in
+  counts s.Api.Cs.constraints s.Api.Cs.variables s.Api.Cs.nonzero_a s.Api.Cs.nonzero_b
+    s.Api.Cs.nonzero_c
+
+(* the global ledger, field by field, and the witness length *)
+let test_golden_ledgers () =
+  let fields (c : Attrib.counts) =
+    [ ("constraints", c.Attrib.constraints);
+      ("variables", c.Attrib.variables);
+      ("nnz_a", c.Attrib.nnz_a);
+      ("nnz_b", c.Attrib.nnz_b);
+      ("nnz_c", c.Attrib.nnz_c) ]
+  in
+  List.iter
+    (fun ((_, want, want_witness, _), prepared) ->
+      List.iter
+        (fun (label, p) ->
+          List.iter2
+            (fun (f, w) (_, g) -> check_int (label ^ ": " ^ f) w g)
+            (fields want)
+            (fields (ledger p));
+          check_int (label ^ ": witness") want_witness (Api.Cs.num_aux p.Api.cs))
+        prepared)
+    (Lazy.force golden_prepared)
+
+(* the region trees, their reconciliation with the global ledger, and
+   the paper's Table II mechanism: CRPC+PSQ strictly below vanilla in
+   constraints and A/B-column nonzeros at the same dims *)
+let test_golden_region_trees () =
+  List.iter
+    (fun ((strategy, _, _, self), prepared) ->
+      List.iter
+        (fun (label, p) ->
+          Alcotest.(check (list string))
+            (label ^ ": region drift") []
+            (Attrib.drift_notes ~old_:(golden_tree strategy self) ~new_:p.Api.regions);
+          check_int
+            (label ^ ": region constraints sum to the ledger")
+            (ledger p).Attrib.constraints
+            (Attrib.total p.Api.regions).Attrib.constraints)
+        prepared)
+    (Lazy.force golden_prepared);
+  let plain strategy =
+    let _, prepared =
+      List.find (fun ((s, _, _, _), _) -> s = strategy) (Lazy.force golden_prepared)
+    in
+    ledger (snd (List.hd prepared))
+  in
+  let zkvc = plain Mc.Crpc_psq and vanilla = plain Mc.Vanilla in
+  check_bool "CRPC+PSQ has strictly fewer constraints" true
+    (zkvc.Attrib.constraints < vanilla.Attrib.constraints);
+  check_bool "CRPC+PSQ has strictly fewer A-column nonzeros" true
+    (zkvc.Attrib.nnz_a < vanilla.Attrib.nnz_a);
+  check_bool "CRPC+PSQ has strictly fewer B-column nonzeros" true
+    (zkvc.Attrib.nnz_b < vanilla.Attrib.nnz_b)
+
+(* ------------------------------------------------------------------ *)
+(* drift notes and profile --compare deltas                            *)
+
+(* [t] with [f] applied to the node at [path] (root name first) *)
+let rec edit path f (t : Attrib.t) =
+  match path with
+  | [ name ] when name = t.Attrib.name -> f t
+  | name :: rest when name = t.Attrib.name ->
+    { t with Attrib.children = List.map (edit rest f) t.Attrib.children }
+  | _ -> t
+
+let bump_nnz_a t = { t with Attrib.self = { t.Attrib.self with Attrib.nnz_a = 13 } }
+
+(* one count changed, one region removed, one added: each gives exactly
+   one note, and the note names the region's path *)
+let test_drift_notes () =
+  let base = golden_tree Mc.Crpc_psq (counts 4 3 12 32 30) in
+  let in_matmul f =
+    edit [ "all"; "matmul" ] (fun m -> { m with Attrib.children = f m.Attrib.children }) base
+  in
+  List.iter
+    (fun (what, changed, note) ->
+      Alcotest.(check (list string)) what [ note ] (Attrib.drift_notes ~old_:base ~new_:changed))
+    [ ( "one count changed",
+        edit [ "all"; "matmul"; "crpc+psq" ] bump_nnz_a base,
+        "region all/matmul/crpc+psq: nnz_a 12 -> 13" );
+      ( "region removed",
+        in_matmul (List.filter (fun c -> c.Attrib.name <> "alloc")),
+        "region all/matmul/alloc: removed (0 constraints)" );
+      ( "region added",
+        in_matmul (fun cs -> cs @ [ Attrib.make ~name:"bind" ~self:(counts 1 0 2 1 1) [] ]),
+        "region all/matmul/bind: added (1 constraints)" ) ]
+
+(* profile --compare reads trees written by [Attrib.to_json] back with
+   [Attrib.of_json] and prints [Attrib.deltas]: a prepared tree (timing
+   filled) against itself gives no rows, and a copy with one region
+   changed gives exactly that region's delta. *)
+let test_compare_deltas () =
+  let through_text t =
+    match Json.of_string (Json.to_string_pretty (Attrib.to_json t)) with
+    | Error e -> Alcotest.failf "tree JSON unreadable: %s" e
+    | Ok v -> (
+      match Attrib.of_json v with Ok t -> t | Error e -> Alcotest.failf "tree JSON: %s" e)
+  in
+  let tree = through_text (prepare ~dims:(3, 4, 8) Mc.Crpc_psq).Api.regions in
+  check_bool "self-compare gives no rows" true (Attrib.deltas ~old_:tree ~new_:tree = []);
+  let changed = through_text (edit [ "all"; "matmul"; "crpc+psq" ] bump_nnz_a tree) in
+  check_bool "one row: the changed region's delta" true
+    (Attrib.deltas ~old_:tree ~new_:changed
+    = [ ("all/matmul/crpc+psq", { Attrib.zero_counts with Attrib.nnz_a = 1 }) ])
 
 (* ------------------------------------------------------------------ *)
 (* compiler cross-check: closed-form counts vs attributed synthesis    *)
@@ -229,6 +376,8 @@ let () =
         Alcotest.test_case "parse_folded rejects malformed input" `Quick
           test_parse_folded_rejects
         :: Alcotest.test_case "top_regions orders by self constraints" `Quick test_top_regions
+        :: Alcotest.test_case "drift notes name the changed region" `Quick test_drift_notes
+        :: Alcotest.test_case "compare deltas of JSON trees" `Quick test_compare_deltas
         :: List.map QCheck_alcotest.to_alcotest qcheck_tree );
       ( "builder",
         [ Alcotest.test_case "regions attribute every constraint" `Quick test_builder_regions;
@@ -237,6 +386,9 @@ let () =
           Alcotest.test_case "re-entered regions accumulate" `Quick
             test_reentered_region_accumulates;
           Alcotest.test_case "attribution invariant under --jobs" `Quick test_jobs_invariance ] );
+      ( "golden",
+        [ Alcotest.test_case "Table II ledgers" `Quick test_golden_ledgers;
+          Alcotest.test_case "Table II region trees" `Quick test_golden_region_trees ] );
       ( "compiler",
         [ Alcotest.test_case "closed-form counts = attributed synthesis" `Slow
             test_compiler_cross_check ] ) ]

@@ -15,6 +15,13 @@ let proof_size_bytes p =
   List.fold_left (fun acc evals -> acc + (Array.length evals * fr_bytes)) (2 * fr_bytes)
     p.rounds
 
+let proof_to_bytes p =
+  let buf = Buffer.create (proof_size_bytes p) in
+  List.iter (Array.iter (fun x -> Buffer.add_bytes buf (Fr.to_bytes x))) p.rounds;
+  Buffer.add_bytes buf (Fr.to_bytes p.va);
+  Buffer.add_bytes buf (Fr.to_bytes p.vb);
+  Buffer.to_bytes buf
+
 let log2_ceil n =
   let rec go k p = if p >= n then k else go (k + 1) (2 * p) in
   go 0 1

@@ -22,6 +22,10 @@ type proof
 
 val proof_size_bytes : proof -> int
 
+(** The round messages, each as its evaluations in canonical 32-byte
+    form, then Ã(rx, rk) and B̃(rk, ry); [proof_size_bytes] long. *)
+val proof_to_bytes : proof -> Bytes.t
+
 (** [prove ~a ~b] for rectangular matrices (row arrays); dimensions are
     zero-padded to powers of two internally. Raises [Invalid_argument] on
     ragged or empty inputs. *)

@@ -46,6 +46,18 @@ let tests =
         check_bool "raises" true
           (match Tm.prove ~a:(rand 4 5) ~b:(rand 6 4) with
            | _ -> false
-           | exception Invalid_argument _ -> true)) ]
+           | exception Invalid_argument _ -> true));
+    Alcotest.test_case "golden proof bytes" `Quick (fun () ->
+        (* taken from the generic closure-driven sumcheck prover, before
+           the product kernel *)
+        let rng = Random.State.make [| 2024; 5 |] in
+        let a = Spec.random_matrix rng ~rows:5 ~cols:12 ~bound:1000 in
+        let b = Spec.random_matrix rng ~rows:12 ~cols:6 ~bound:1000 in
+        let proof = Tm.prove ~a ~b in
+        check_bool "verifies" true (Tm.verify ~a ~b ~c:(Spec.multiply a b) proof);
+        Alcotest.(check int) "encoded size" (Tm.proof_size_bytes proof)
+          (Bytes.length (Tm.proof_to_bytes proof));
+        Alcotest.(check string) "sha256" "54c6a9864b4cde70006c6c98115158fa02efe9afd25e90fce4167a4715d26720"
+          Zkvc_hash.Sha256.(to_hex (digest (Tm.proof_to_bytes proof)))) ]
 
 let () = Alcotest.run "zkvc_gkr" [ ("thaler-matmul", tests) ]

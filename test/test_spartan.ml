@@ -519,10 +519,54 @@ let e2e_tests =
            && Spartan.verify key inst ~public_inputs:[ assignment.(1) ] p2);
         check_bool "proof bytes differ" true (p1 <> p2)) ]
 
+
+(* ---------------- golden proof bytes ---------------- *)
+
+module Lc = Zkvc_zkml.Layer_circuit.Make (Fr)
+
+let sha b = Zkvc_hash.Sha256.(to_hex (digest b))
+
+(* Seeded statements whose proof bytes must not drift: CRPC+PSQ at
+   3×4×8, and a softmax row of 2 plus one GELU from the zkml gadgets. *)
+let golden_crpc () =
+  let rng = Random.State.make [| 2024; 3 |] in
+  let x = Spec.random_matrix rng ~rows:3 ~cols:4 ~bound:64 in
+  let w = Spec.random_matrix rng ~rows:4 ~cols:8 ~bound:64 in
+  let prep = Api.prepare Mc.Crpc_psq ~x ~w (Mspec.dims ~a:3 ~n:4 ~b:8) in
+  (prep.Api.cs, prep.Api.assignment)
+
+let golden_nonlinear () =
+  let cfg = Zkvc.Nonlinear.default_config in
+  let b = Lc.B.create () in
+  let alloc v = Lc.B.alloc b (Fr.of_int v) in
+  ignore (Lc.softmax_row b cfg [ alloc 37; alloc (-120) ]);
+  ignore (Lc.gelu b cfg (alloc 91));
+  Lc.B.finalize b
+
+let golden_digest ?opening_mode (cs, assignment) =
+  let inst = Spartan.preprocess cs in
+  let key = Spartan.setup inst in
+  let proof = Spartan.prove ?opening_mode (Random.State.make [| 4242 |]) key inst assignment in
+  let io = Array.to_list (Array.sub assignment 1 (Api.Cs.num_inputs cs)) in
+  check_bool "verifies" true (Spartan.verify key inst ~public_inputs:io proof);
+  sha (Spartan.proof_to_bytes proof)
+
+let golden_tests =
+  [ Alcotest.test_case "golden proof bytes" `Quick (fun () ->
+        (* taken from the generic closure-driven sumcheck prover, before
+           the specialised kernels *)
+        Alcotest.(check string) "crpc 3x4x8 hyrax fold"
+          "81e278dc5516521b7dcb014e2ed5a62dd87e55c15a9df5ed2e66a1a2f2010d73" (golden_digest (golden_crpc ()));
+        Alcotest.(check string) "crpc 3x4x8 ipa"
+          "78ec86652be9da58cf4f744cf9b19f409da33ae4b0e22aba3fd9bd1962414071" (golden_digest ~opening_mode:`Ipa (golden_crpc ()));
+        Alcotest.(check string) "softmax 1x2 + gelu 1"
+          "13d4d654d863058568e836b9d18efac36e0eb7fa5ebbcfc4d2032a1075d6f362" (golden_digest (golden_nonlinear ()))) ]
+
 let () =
   Alcotest.run "zkvc_spartan"
     [ ("sumcheck", sumcheck_tests);
       ("sparse", sparse_tests);
       ("pedersen", pedersen_tests);
       ("ipa", ipa_tests);
-      ("e2e", e2e_tests) ]
+      ("e2e", e2e_tests);
+      ("golden", golden_tests) ]

@@ -93,8 +93,7 @@ let prove ~a ~b =
   let ax = fold_prefix (mle_table a ~rows_log:mu1 ~cols_log:nu) mu1 rx in
   let by = fold_prefix (mle_table (transpose b) ~rows_log:mu2 ~cols_log:nu) mu2 ry in
   let rounds, _rk, finals =
-    Sc.prove tr ~label:"thaler" ~degree:2 [| ax; by |]
-      ~combine:(fun v -> Fr.mul v.(0) v.(1))
+    Sc.prove_product tr ~label:"thaler" ax by
   in
   { rounds; va = finals.(0); vb = finals.(1) }
 

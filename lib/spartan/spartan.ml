@@ -301,15 +301,13 @@ let prove ?(opening_mode = `Hyrax_fold) st key t assignment =
   Array.iter (fun c -> T.absorb_bytes tr ~label:"comm" (G1.to_bytes c)) comm_rows;
   (* phase 1 *)
   let tau = Ch.challenges tr ~label:"tau" t.mu in
-  let eq_tau = Ml.evals (Ml.eq_table tau) in
   let az, bz, cz =
     Span.with_span "prove.matrix_vector" (fun () ->
         (Sm.mul_vec t.a z, Sm.mul_vec t.b z, Sm.mul_vec t.c z))
   in
   let sc1, rx, finals1 =
     Span.with_span "prove.sumcheck1" (fun () ->
-        Sc.prove tr ~label:"sc1" ~degree:3 [| eq_tau; az; bz; cz |]
-          ~combine:(fun v -> Fr.mul v.(0) (Fr.sub (Fr.mul v.(1) v.(2)) v.(3))))
+        Sc.prove_eq_r1cs tr ~label:"sc1" ~tau az bz cz)
   in
   let va = finals1.(1) and vb = finals1.(2) and vc = finals1.(3) in
   Ch.absorb_list tr ~label:"claims" [ va; vb; vc ];
@@ -332,8 +330,7 @@ let prove ?(opening_mode = `Hyrax_fold) st key t assignment =
   in
   let sc2, ry, _finals2 =
     Span.with_span "prove.sumcheck2" (fun () ->
-        Sc.prove tr ~label:"sc2" ~degree:2 [| mx; z |]
-          ~combine:(fun v -> Fr.mul v.(0) v.(1)))
+        Sc.prove_product tr ~label:"sc2" mx z)
   in
   (* Hyrax-style opening of w̃ at the witness-half point *)
   let opening =

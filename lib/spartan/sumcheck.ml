@@ -1,14 +1,14 @@
-(** Generic sumcheck protocol (Lund–Fortnow–Karloff–Nisan), made
-    non-interactive with the Fiat–Shamir transcript. The prover holds [k]
-    multilinear tables and proves a statement about
-    [Σ_{x ∈ {0,1}^µ} combine(t_1(x), ..., t_k(x))] where [combine] is a
-    polynomial of total degree [degree] in the table values. *)
+(** Sumcheck protocol (Lund–Fortnow–Karloff–Nisan), made non-interactive
+    with the Fiat–Shamir transcript, with one prover kernel per statement
+    shape the stack proves: Spartan's eq̃-weighted R1CS sum and a plain
+    product of two tables. *)
 
 module Parallel = Zkvc_parallel
 
 module Make (F : Zkvc_field.Field_intf.S) = struct
   module T = Zkvc_transcript.Transcript
   module Ch = T.Challenge (F)
+  module Ml = Zkvc_poly.Multilinear.Make (F)
   module Span = Zkvc_obs.Span
 
   let rounds_metric = Zkvc_obs.Metrics.counter "sumcheck.rounds"
@@ -22,107 +22,56 @@ module Make (F : Zkvc_field.Field_intf.S) = struct
 
   type proof = round list
 
-  (* Lagrange interpolation of a degree-d polynomial given values at
-     0..d, evaluated at r. *)
+  (* Barycentric form of Lagrange interpolation on the nodes 0..d:
+     p(r) = Σ_i evals_i · w_i · Π_{j≠i} (r − j), with the weights
+     w_i = 1 / Π_{j≠i} (i − j) = (−1)^(d−i) / (i! (d−i)!) fixed per
+     degree, so a call costs O(d) multiplications and no inversion. *)
+  let nodes_and_weights d =
+    let fact n = List.fold_left ( * ) 1 (List.init n (fun i -> i + 1)) in
+    let nodes = Array.init (d + 1) F.of_int in
+    let weights =
+      Array.init (d + 1) (fun i ->
+          let w = F.inv (F.of_int (fact i * fact (d - i))) in
+          if (d - i) land 1 = 1 then F.neg w else w)
+    in
+    (nodes, weights)
+
+  (* the degrees the protocols use, tabulated once *)
+  let tabulated = Array.init 4 nodes_and_weights
+
   let interpolate_at evals r =
     let d = Array.length evals - 1 in
-    let acc = ref F.zero in
+    let nodes, weights =
+      if d < Array.length tabulated then tabulated.(d) else nodes_and_weights d
+    in
+    (* suffix.(i) = Π_{j>i} (r − j); the prefix product runs alongside *)
+    let suffix = Array.make (d + 1) F.one in
+    for i = d - 1 downto 0 do
+      suffix.(i) <- F.mul suffix.(i + 1) (F.sub r nodes.(i + 1))
+    done;
+    let acc = ref F.zero and prefix = ref F.one in
     for i = 0 to d do
-      let num = ref F.one and den = ref F.one in
-      for j = 0 to d do
-        if j <> i then begin
-          num := F.mul !num (F.sub r (F.of_int j));
-          den := F.mul !den (F.of_int (i - j))
-        end
-      done;
-      acc := F.add !acc (F.mul evals.(i) (F.div !num !den))
+      acc := F.add !acc (F.mul (F.mul evals.(i) weights.(i)) (F.mul !prefix suffix.(i)));
+      prefix := F.mul !prefix (F.sub r nodes.(i))
     done;
     !acc
 
-  (** Prover. [tables] are equal-length power-of-two evaluation tables,
-      folded in place conceptually (copies are taken, inputs untouched).
-      Returns the round messages, the challenge vector and the final values
-      of each table at the challenge point. *)
-  let prove transcript ~label ~degree tables ~combine =
-    let tables = Array.map Array.copy tables in
-    let len = Array.length tables.(0) in
-    Array.iter
-      (fun t -> if Array.length t <> len then invalid_arg "Sumcheck.prove: ragged tables")
-      tables;
-    let mu =
-      let rec go k p = if p = len then k else go (k + 1) (2 * p) in
-      go 0 1
-    in
-    let xs = Array.init (degree + 1) F.of_int in
-    let current_len = ref len in
+  let log2_exact what len =
+    let rec go k p = if p = len then k else if p > len then invalid_arg what else go (k + 1) (2 * p) in
+    go 0 1
+
+  (* The Fiat–Shamir round loop shared by the kernels: [message ()] is the
+     round polynomial's evaluations for the current tables, [fold r] binds
+     the round's variable to the challenge. *)
+  let run_rounds transcript ~label mu ~message ~fold =
     let rounds = ref [] and challenges = ref [] in
-    let point_values = Array.make (Array.length tables) F.zero in
     for round_ix = 1 to mu do
       let round_body () =
         Zkvc_obs.Metrics.incr rounds_metric;
-        let half = !current_len / 2 in
-        let parallel = Parallel.jobs () > 1 && half >= parallel_min_half in
-        (* per-index contributions to the round polynomial; the sum over
-           i is a modular (exact, associative) reduction, so partial sums
-           per chunk recombine to the same field elements regardless of
-           how the range is split *)
-        let eval_range lo_i hi_i =
-          let local = Array.make (degree + 1) F.zero in
-          let pv = Array.make (Array.length tables) F.zero in
-          for i = lo_i to hi_i - 1 do
-            for xi = 0 to degree do
-              let x = xs.(xi) in
-              Array.iteri
-                (fun t_idx t ->
-                  let lo = t.(i) and hi = t.(i + half) in
-                  (* value of the table's MLE with first var := x *)
-                  pv.(t_idx) <- F.add lo (F.mul x (F.sub hi lo)))
-                tables;
-              local.(xi) <- F.add local.(xi) (combine pv)
-            done
-          done;
-          local
-        in
-        let evals =
-          if parallel then
-            Parallel.parallel_reduce half
-              ~init:(Array.make (degree + 1) F.zero)
-              ~range:eval_range
-              ~combine:(fun x y -> Array.map2 F.add x y)
-          else begin
-            (* sequential path reuses the hoisted point_values scratch *)
-            let evals = Array.make (degree + 1) F.zero in
-            for i = 0 to half - 1 do
-              for xi = 0 to degree do
-                let x = xs.(xi) in
-                Array.iteri
-                  (fun t_idx t ->
-                    let lo = t.(i) and hi = t.(i + half) in
-                    point_values.(t_idx) <- F.add lo (F.mul x (F.sub hi lo)))
-                  tables;
-                evals.(xi) <- F.add evals.(xi) (combine point_values)
-              done
-            done;
-            evals
-          end
-        in
+        let evals = message () in
         Ch.absorb_array transcript ~label:(label ^ "/round") evals;
         let r = Ch.challenge transcript ~label:(label ^ "/chal") in
-        (* fold every table: first variable := r; index i touches only
-           slots i and i + half, disjoint across the parallel range *)
-        Array.iter
-          (fun t ->
-            if parallel then
-              Parallel.parallel_for half (fun i ->
-                  let lo = t.(i) and hi = t.(i + half) in
-                  t.(i) <- F.add lo (F.mul r (F.sub hi lo)))
-            else
-              for i = 0 to half - 1 do
-                let lo = t.(i) and hi = t.(i + half) in
-                t.(i) <- F.add lo (F.mul r (F.sub hi lo))
-              done)
-          tables;
-        current_len := half;
+        fold r;
         rounds := evals :: !rounds;
         challenges := r :: !challenges
       in
@@ -132,8 +81,134 @@ module Make (F : Zkvc_field.Field_intf.S) = struct
         Span.with_span (Printf.sprintf "%s.round%d" label round_ix) round_body
       else round_body ()
     done;
-    let finals = Array.map (fun t -> t.(0)) tables in
-    (List.rev !rounds, List.rev !challenges, finals)
+    (List.rev !rounds, List.rev !challenges)
+
+  (* Σ_i of a per-index contribution over [0, half): chunks of the range
+     run on the pool when it is large, and since the sum is an exact
+     modular reduction the partial sums recombine to the same field
+     elements however the range is split. *)
+  let sum_range half range =
+    if Parallel.jobs () > 1 && half >= parallel_min_half then
+      Parallel.parallel_reduce half
+        ~init:(range 0 0)
+        ~range
+        ~combine:(fun x y -> Array.map2 F.add x y)
+    else range 0 half
+
+  (* first variable := r in every table: index i touches only slots i and
+     i + half, disjoint across the parallel range *)
+  let fold_tables tables half r =
+    let fold t i =
+      let lo = t.(i) in
+      t.(i) <- F.add lo (F.mul r (F.sub t.(i + half) lo))
+    in
+    List.iter
+      (fun t ->
+        if Parallel.jobs () > 1 && half >= parallel_min_half then
+          Parallel.parallel_for half (fold t)
+        else
+          for i = 0 to half - 1 do
+            fold t i
+          done)
+      tables
+
+  (* value at X = 2 of the line through (0, lo) and (1, hi) *)
+  let at2 lo hi = F.sub (F.double hi) lo
+
+  (** Σ_x a(x)·b(x): the round polynomial has degree 2, and its values
+      at 0, 1, 2 cost three multiplications per index. *)
+  let prove_product transcript ~label a b =
+    let len = Array.length a in
+    if Array.length b <> len then invalid_arg "Sumcheck.prove_product: ragged tables";
+    let mu = log2_exact "Sumcheck.prove_product: length not a power of two" len in
+    let a = Array.copy a and b = Array.copy b in
+    let half = ref (len / 2) in
+    let message () =
+      let h = !half in
+      sum_range h (fun lo_i hi_i ->
+          let s0 = ref F.zero and s1 = ref F.zero and s2 = ref F.zero in
+          for i = lo_i to hi_i - 1 do
+            let a0 = a.(i) and a1 = a.(i + h) and b0 = b.(i) and b1 = b.(i + h) in
+            s0 := F.add !s0 (F.mul a0 b0);
+            s1 := F.add !s1 (F.mul a1 b1);
+            s2 := F.add !s2 (F.mul (at2 a0 a1) (at2 b0 b1))
+          done;
+          [| !s0; !s1; !s2 |])
+    in
+    let fold r =
+      fold_tables [ a; b ] !half r;
+      half := !half / 2
+    in
+    let rounds, challenges = run_rounds transcript ~label mu ~message ~fold in
+    (rounds, challenges, [| a.(0); b.(0) |])
+
+  (** Σ_x eq̃(τ, x)·(a(x)·b(x) − c(x)), with eq̃ factored out (Gruen,
+      ePrint 2024/108). In round j, with r_k bound for k < j,
+
+        eq̃(τ, (r_{<j}, X, x')) = acc · l_j(X) · eq̃(τ_{>j}, x'),
+
+      where acc = Π_{k<j} eq̃(τ_k, r_k) and l_j(X) = (1 − τ_j) + X(2τ_j − 1).
+      So the round polynomial is acc·l_j(X)·q(X) with
+      q(X) = Σ_{x'} eq̃(τ_{>j}, x')·(a·b − c)(X, x') of degree 2: q(0), q(1),
+      q(2) cost six multiplications per index, q(3) = q(0) − 3q(1) + 3q(2)
+      follows, and the eq̃ table is never folded — the next round's
+      eq̃(τ_{>j+1}, ·) is the sum of the current table's two halves. *)
+  let prove_eq_r1cs transcript ~label ~tau a b c =
+    let len = Array.length a in
+    if Array.length b <> len || Array.length c <> len then
+      invalid_arg "Sumcheck.prove_eq_r1cs: ragged tables";
+    let mu = log2_exact "Sumcheck.prove_eq_r1cs: length not a power of two" len in
+    if List.length tau <> mu then invalid_arg "Sumcheck.prove_eq_r1cs: tau arity mismatch";
+    let a = Array.copy a and b = Array.copy b and c = Array.copy c in
+    let taus = Array.of_list tau in
+    (* e = eq̃(τ_{>j}, ·), of length half *)
+    let e = match tau with [] -> [| F.one |] | _ :: rest -> Ml.evals (Ml.eq_table rest) in
+    let half = ref (len / 2) and j = ref 0 and acc = ref F.one in
+    let message () =
+      let h = !half in
+      let q =
+        sum_range h (fun lo_i hi_i ->
+            let q0 = ref F.zero and q1 = ref F.zero and q2 = ref F.zero in
+            for i = lo_i to hi_i - 1 do
+              let ei = e.(i) in
+              let a0 = a.(i) and a1 = a.(i + h) in
+              let b0 = b.(i) and b1 = b.(i + h) in
+              let c0 = c.(i) and c1 = c.(i + h) in
+              q0 := F.add !q0 (F.mul ei (F.sub (F.mul a0 b0) c0));
+              q1 := F.add !q1 (F.mul ei (F.sub (F.mul a1 b1) c1));
+              q2 := F.add !q2 (F.mul ei (F.sub (F.mul (at2 a0 a1) (at2 b0 b1)) (at2 c0 c1)))
+            done;
+            [| !q0; !q1; !q2 |])
+      in
+      let d = F.sub q.(2) q.(1) in
+      let q3 = F.add q.(0) (F.add d (F.double d)) in
+      let tj = taus.(!j) in
+      let step = F.sub (F.double tj) F.one in
+      let l0 = F.sub F.one tj in
+      let l2 = F.add tj step in
+      let l3 = F.add l2 step in
+      Array.map2 (fun l qx -> F.mul (F.mul !acc l) qx) [| l0; tj; l2; l3 |] [| q.(0); q.(1); q.(2); q3 |]
+    in
+    let fold r =
+      let h = !half in
+      let tj = taus.(!j) in
+      acc := F.mul !acc (F.add (F.sub F.one tj) (F.mul r (F.sub (F.double tj) F.one)));
+      fold_tables [ a; b; c ] h r;
+      (* eq̃(τ_{>j}, (x_{j+1}, x'')) = eq̃(τ_{j+1}, x_{j+1})·eq̃(τ_{>j+1}, x''),
+         and the two values of eq̃(τ_{j+1}, ·) sum to one *)
+      let quarter = h / 2 in
+      let merge i = e.(i) <- F.add e.(i) e.(i + quarter) in
+      if Parallel.jobs () > 1 && quarter >= parallel_min_half then
+        Parallel.parallel_for quarter merge
+      else
+        for i = 0 to quarter - 1 do
+          merge i
+        done;
+      half := quarter;
+      incr j
+    in
+    let rounds, challenges = run_rounds transcript ~label mu ~message ~fold in
+    (rounds, challenges, [| !acc; a.(0); b.(0); c.(0) |])
 
   (** Verifier: replays the transcript, checks
       [s_j(0) + s_j(1) = claim_j] each round and reduces the claim to

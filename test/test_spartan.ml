@@ -20,21 +20,63 @@ let check_bool = Alcotest.(check bool)
 
 (* ---------------- sumcheck in isolation ---------------- *)
 
+module Oracle = Sumcheck_oracle.Make (Fr)
+
+let random_point rng n = List.init n (fun _ -> Fr.random rng)
+
+let qtest ?(count = 200) name prop gen =
+  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name prop gen)
+
+let inner t1 t2 =
+  let acc = ref Fr.zero in
+  Array.iteri (fun i v -> acc := Fr.add !acc (Fr.mul v t2.(i))) t1;
+  !acc
+
+let with_jobs n f =
+  let saved = Zkvc_parallel.jobs () in
+  Zkvc_parallel.set_jobs n;
+  Fun.protect ~finally:(fun () -> Zkvc_parallel.set_jobs saved) f
+
+let same_field_lists a b = List.length a = List.length b && List.for_all2 Fr.equal a b
+let same_field_arrays a b = same_field_lists (Array.to_list a) (Array.to_list b)
+
+let same_run (rounds, rs, finals) (rounds', rs', finals') =
+  List.length rounds = List.length rounds'
+  && List.for_all2 same_field_arrays rounds rounds'
+  && same_field_lists rs rs'
+  && same_field_arrays finals finals'
+
+(* each kernel against the generic oracle on the same statement, on a
+   fresh transcript; the oracle folds the eq̃ table it is handed, the
+   kernel builds eq̃(τ_{>j}, ·) itself *)
+let eq_r1cs_vs_oracle ~tau a b c =
+  let kernel = Sc.prove_eq_r1cs (T.create ~label:"sc-test") ~label:"s" ~tau a b c in
+  let oracle =
+    Oracle.prove (T.create ~label:"sc-test") ~label:"s" ~degree:3
+      [| Ml.evals (Ml.eq_table tau); a; b; c |]
+      ~combine:(fun v -> Fr.mul v.(0) (Fr.sub (Fr.mul v.(1) v.(2)) v.(3)))
+  in
+  (kernel, oracle)
+
+let product_vs_oracle a b =
+  ( Sc.prove_product (T.create ~label:"sc-test") ~label:"s" a b,
+    Oracle.prove (T.create ~label:"sc-test") ~label:"s" ~degree:2 [| a; b |]
+      ~combine:(fun v -> Fr.mul v.(0) v.(1)) )
+
+let random_table rng mu = Array.init (1 lsl mu) (fun _ -> Fr.random rng)
+
+(* (µ, jobs, seed) *)
+let gen_kernel_case =
+  QCheck.(triple (int_range 0 7) (int_range 1 2) (int_bound 1_000_000))
+
 let sumcheck_tests =
   [ Alcotest.test_case "honest prover accepted" `Quick (fun () ->
         let mu = 5 in
         let t1 = Array.init (1 lsl mu) (fun _ -> Fr.random st) in
         let t2 = Array.init (1 lsl mu) (fun _ -> Fr.random st) in
-        let claim =
-          let acc = ref Fr.zero in
-          Array.iteri (fun i v -> acc := Fr.add !acc (Fr.mul v t2.(i))) t1;
-          !acc
-        in
+        let claim = inner t1 t2 in
         let tr_p = T.create ~label:"sc-test" in
-        let rounds, r_p, finals =
-          Sc.prove tr_p ~label:"s" ~degree:2 [| t1; t2 |]
-            ~combine:(fun v -> Fr.mul v.(0) v.(1))
-        in
+        let rounds, r_p, finals = Sc.prove_product tr_p ~label:"s" t1 t2 in
         let tr_v = T.create ~label:"sc-test" in
         (match Sc.verify tr_v ~label:"s" ~degree:2 ~claim rounds with
          | None -> Alcotest.fail "sumcheck rejected honest prover"
@@ -48,13 +90,80 @@ let sumcheck_tests =
              (Fr.equal finals.(0) (Ml.eval m1 r_v) && Fr.equal finals.(1) (Ml.eval m2 r_v))));
     Alcotest.test_case "wrong claim rejected" `Quick (fun () ->
         let t1 = Array.init 16 (fun _ -> Fr.random st) in
+        let t2 = Array.init 16 (fun _ -> Fr.random st) in
         let tr_p = T.create ~label:"sc-test" in
-        let rounds, _, _ =
-          Sc.prove tr_p ~label:"s" ~degree:1 [| t1 |] ~combine:(fun v -> v.(0))
-        in
+        let rounds, _, _ = Sc.prove_product tr_p ~label:"s" t1 t2 in
         let tr_v = T.create ~label:"sc-test" in
         check_bool "reject" true
-          (Sc.verify tr_v ~label:"s" ~degree:1 ~claim:(Fr.of_int 123456) rounds = None)) ]
+          (Sc.verify tr_v ~label:"s" ~degree:2 ~claim:(Fr.add (inner t1 t2) Fr.one) rounds
+           = None));
+    Alcotest.test_case "eq r1cs: honest prover accepted, finals at r" `Quick (fun () ->
+        let mu = 6 in
+        let tau = random_point st mu in
+        let a = random_table st mu and b = random_table st mu in
+        (* a satisfied row set: c = a∘b, so the claim is zero *)
+        let c = Array.mapi (fun i v -> Fr.mul v b.(i)) a in
+        let rounds, r_p, finals =
+          Sc.prove_eq_r1cs (T.create ~label:"sc-test") ~label:"s" ~tau a b c
+        in
+        match Sc.verify (T.create ~label:"sc-test") ~label:"s" ~degree:3 ~claim:Fr.zero rounds with
+        | None -> Alcotest.fail "sumcheck rejected honest prover"
+        | Some (final_claim, r_v) ->
+          check_bool "same challenges" true (same_field_lists r_p r_v);
+          let at t = Ml.eval (Ml.of_evals t) r_v in
+          check_bool "finals match MLE" true
+            (same_field_arrays finals [| Ml.eq_eval tau r_v; at a; at b; at c |]);
+          check_bool "final claim correct" true
+            (Fr.equal final_claim (Fr.mul finals.(0) (Fr.sub (Fr.mul finals.(1) finals.(2)) finals.(3)))));
+    Alcotest.test_case "kernels reject bad shapes" `Quick (fun () ->
+        let t n = Array.make n Fr.one in
+        let raises f = match f () with exception Invalid_argument _ -> true | _ -> false in
+        let tr () = T.create ~label:"sc-test" in
+        check_bool "product ragged" true
+          (raises (fun () -> Sc.prove_product (tr ()) ~label:"s" (t 4) (t 8)));
+        check_bool "product not a power of two" true
+          (raises (fun () -> Sc.prove_product (tr ()) ~label:"s" (t 6) (t 6)));
+        check_bool "eq r1cs ragged" true
+          (raises (fun () ->
+               Sc.prove_eq_r1cs (tr ()) ~label:"s" ~tau:[ Fr.one; Fr.one ] (t 4) (t 4) (t 2)));
+        check_bool "eq r1cs tau arity" true
+          (raises (fun () -> Sc.prove_eq_r1cs (tr ()) ~label:"s" ~tau:[ Fr.one ] (t 4) (t 4) (t 4))));
+    qtest ~count:60 "eq r1cs kernel matches the generic oracle" gen_kernel_case
+      (fun (mu, jobs, seed) ->
+        let rng = Random.State.make [| seed |] in
+        let tau = random_point rng mu in
+        let a = random_table rng mu and b = random_table rng mu and c = random_table rng mu in
+        let kernel, oracle = with_jobs jobs (fun () -> eq_r1cs_vs_oracle ~tau a b c) in
+        let _, r, finals = kernel in
+        same_run kernel oracle && Fr.equal finals.(0) (Ml.eq_eval tau r));
+    qtest ~count:60 "product kernel matches the generic oracle" gen_kernel_case
+      (fun (mu, jobs, seed) ->
+        let rng = Random.State.make [| seed |] in
+        let a = random_table rng mu and b = random_table rng mu in
+        let kernel, oracle = with_jobs jobs (fun () -> product_vs_oracle a b) in
+        same_run kernel oracle);
+    Alcotest.test_case "kernels match the oracle on the parallel path" `Quick (fun () ->
+        (* 2^11 entries: the first round's half reaches parallel_min_half *)
+        let mu = 11 in
+        let rng = Random.State.make [| 11 |] in
+        let tau = random_point rng mu in
+        let a = random_table rng mu and b = random_table rng mu and c = random_table rng mu in
+        let sequential = with_jobs 1 (fun () -> eq_r1cs_vs_oracle ~tau a b c) in
+        let parallel = with_jobs 2 (fun () -> eq_r1cs_vs_oracle ~tau a b c) in
+        check_bool "eq r1cs = oracle" true (same_run (fst parallel) (snd parallel));
+        check_bool "eq r1cs jobs 2 = jobs 1" true (same_run (fst parallel) (fst sequential));
+        let kernel, oracle = with_jobs 2 (fun () -> product_vs_oracle a b) in
+        check_bool "product = oracle" true (same_run kernel oracle));
+    qtest ~count:50 "barycentric interpolation matches the Lagrange oracle"
+      QCheck.(pair (int_range 0 6) (int_bound 1_000_000))
+      (fun (d, seed) ->
+        let rng = Random.State.make [| seed |] in
+        let evals = Array.init (d + 1) (fun _ -> Fr.random rng) in
+        (* a random point, and the nodes themselves, where the Lagrange
+           basis is an indicator *)
+        List.for_all
+          (fun r -> Fr.equal (Sc.interpolate_at evals r) (Oracle.interpolate_at evals r))
+          (Fr.random rng :: List.init (d + 1) Fr.of_int)) ]
 
 (* ---------------- sparse matrices ---------------- *)
 
@@ -78,11 +187,6 @@ let oracle_eval ~mu ~nu entries ~rx ~ry =
 
 let table_eval m ~rx ~ry =
   Sm.eval_tables m ~row_w:(Ml.evals (Ml.eq_table rx)) ~col_w:(Ml.evals (Ml.eq_table ry))
-
-let random_point rng n = List.init n (fun _ -> Fr.random rng)
-
-let qtest ?(count = 200) name prop gen =
-  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name prop gen)
 
 (* (µ, ν, seed): the entry list, its size and the point all come from the
    seed; the size may be zero and, with µ, ν small, (row, col) repeats *)

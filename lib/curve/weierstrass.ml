@@ -38,6 +38,7 @@ struct
 
   let to_affine p =
     if is_zero p then None
+    else if F.equal p.z F.one then Some (p.x, p.y)
     else begin
       let zinv = F.inv p.z in
       let zinv2 = F.sqr zinv in

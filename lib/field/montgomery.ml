@@ -229,11 +229,30 @@ end) : Field_intf.S = struct
     if !pos >= 0 then Bytes.set out !pos (Char.unsafe_chr (!buf land 0xff));
     out
 
+  (* The inverse of [to_bytes]: bytes stream least significant first
+     into 26-bit limbs through a bit buffer of at most 33 bits, with no
+     big-integer arithmetic. Bits past the k limbs make the value at
+     least 2^(26k) > p, so they are non-canonical like any value ≥ p. *)
   let of_bytes_exn b =
     if Bytes.length b <> size_in_bytes then invalid_arg "Montgomery.of_bytes_exn: bad length";
-    let n = Bigint.of_bytes_be b in
-    if Bigint.ge n modulus then invalid_arg "Montgomery.of_bytes_exn: not canonical";
-    of_bigint n
+    let a = Array.make k 0 in
+    let buf = ref 0 and nbits = ref 0 and limb = ref 0 and overflow = ref false in
+    let emit v =
+      if !limb < k then a.(!limb) <- v else if v <> 0 then overflow := true;
+      incr limb
+    in
+    for pos = size_in_bytes - 1 downto 0 do
+      buf := !buf lor (Char.code (Bytes.get b pos) lsl !nbits);
+      nbits := !nbits + 8;
+      if !nbits >= limb_bits then begin
+        emit (!buf land limb_mask);
+        buf := !buf lsr limb_bits;
+        nbits := !nbits - limb_bits
+      end
+    done;
+    emit !buf;
+    if !overflow || geq_p a then invalid_arg "Montgomery.of_bytes_exn: not canonical";
+    mont_mul a r2
 
   let pp fmt a = Format.pp_print_string fmt (to_string a)
 end

@@ -298,6 +298,9 @@ let prove ?(opening_mode = `Hyrax_fold) st key t assignment =
   in
   let public_inputs = Array.to_list (Array.sub assignment 1 t.num_inputs) in
   let tr = transcript_init t ~public_inputs in
+  (* one inversion for all rows; the encodings below, and the proof's,
+     then take the affine coordinates as they are *)
+  G1.normalize comm_rows;
   Array.iter (fun c -> T.absorb_bytes tr ~label:"comm" (G1.to_bytes c)) comm_rows;
   (* phase 1 *)
   let tau = Ch.challenges tr ~label:"tau" t.mu in
@@ -408,8 +411,11 @@ let verify_deferred key t ~public_inputs proof =
     else begin
       let tr = transcript_init t ~public_inputs in
       Array.iter (fun c -> T.absorb_bytes tr ~label:"comm" (G1.to_bytes c)) proof.comm_rows;
+      let replay ~label ~degree ~claim sc =
+        Span.with_span "verify.sumcheck" (fun () -> Sc.verify tr ~label ~degree ~claim sc)
+      in
       let tau = Ch.challenges tr ~label:"tau" t.mu in
-      match Sc.verify tr ~label:"sc1" ~degree:3 ~claim:Fr.zero proof.sc1 with
+      match replay ~label:"sc1" ~degree:3 ~claim:Fr.zero proof.sc1 with
       | None -> None
       | Some (e1, rx) ->
         let eq_tau_rx = Ml.eq_eval tau rx in
@@ -425,7 +431,7 @@ let verify_deferred key t ~public_inputs proof =
           let claim2 =
             Fr.add (Fr.mul ra proof.va) (Fr.add (Fr.mul rb proof.vb) (Fr.mul rc proof.vc))
           in
-          match Sc.verify tr ~label:"sc2" ~degree:2 ~claim:claim2 proof.sc2 with
+          match replay ~label:"sc2" ~degree:2 ~claim:claim2 proof.sc2 with
           | None -> None
           | Some (e2, ry) ->
             (* combined matrix MLE at (rx, ry) from the eq̃ tables:

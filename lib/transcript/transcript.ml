@@ -56,13 +56,37 @@ module Challenge (F : Zkvc_field.Field_intf.S) = struct
     absorb_int t ~label:(label ^ "/len") (Array.length xs);
     Array.iter (fun x -> absorb t ~label x) xs
 
+  (* Big-endian bytes reduced mod F.modulus by Horner's rule over chunks
+     of [chunk_bytes] bytes: a chunk is below 2^(bits − 1) < modulus, so
+     its canonical decoding is its value, and each step is one
+     multiplication by the precomputed 2^(8·chunk_bytes) mod modulus.
+     The leading chunk takes the remainder bytes. *)
+  let chunk_bytes = (Bigint.num_bits F.modulus - 1) / 8
+  let () = assert (chunk_bytes >= 1)
+  let chunk_radix = F.of_bigint (Bigint.shift_left Bigint.one (8 * chunk_bytes))
+
+  let of_bytes_wide wide =
+    let n = Bytes.length wide in
+    let chunk off len =
+      let buf = Bytes.make F.size_in_bytes '\000' in
+      Bytes.blit wide off buf (F.size_in_bytes - len) len;
+      F.of_bytes_exn buf
+    in
+    let first = n - ((n - 1) / chunk_bytes * chunk_bytes) in
+    let acc = ref (if n = 0 then F.zero else chunk 0 first) in
+    let off = ref first in
+    while !off < n do
+      acc := F.add (F.mul !acc chunk_radix) (chunk !off chunk_bytes);
+      off := !off + chunk_bytes
+    done;
+    !acc
+
   (* 512 bits reduced mod F.modulus; the "hi" half travels as its own
      length-prefixed part, never concatenated onto the caller's label *)
   let challenge_parts t parts =
     let b1 = challenge_bytes_parts t parts in
     let b2 = challenge_bytes_parts t (parts @ [ "hi" ]) in
-    let wide = Bytes.cat b1 b2 in
-    F.of_bigint (Bigint.of_bytes_be wide)
+    of_bytes_wide (Bytes.cat b1 b2)
 
   let challenge t ~label = challenge_parts t [ label ]
 

@@ -25,6 +25,10 @@ module Challenge (F : Zkvc_field.Field_intf.S) : sig
   val absorb_list : t -> label:string -> F.t list -> unit
   val absorb_array : t -> label:string -> F.t array -> unit
 
+  (** [of_bytes_wide b] is the big-endian integer [b], of any length,
+      reduced mod [F.modulus] with field operations only. *)
+  val of_bytes_wide : Bytes.t -> F.t
+
   (** Uniform element of [F] (512 bits of hash output reduced mod [F.modulus],
       bias below 2^-256). *)
   val challenge : t -> label:string -> F.t

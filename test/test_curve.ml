@@ -265,6 +265,27 @@ struct
             check_bool "P+P = 2P" true (W.equal (W.add a a) (W.double a));
             check_bool "P+(-P) = O" true (W.is_zero (W.add a (W.neg a)))
           done);
+      t "to_bytes of Jacobian and normalised forms agree" (fun () ->
+          (* an affine point's encoding skips the inversion: it must match
+             the encoding computed through 1/z for the same point *)
+          for _ = 1 to 5 do
+            let a = affine () in
+            let ps = Array.init 4 (fun i -> jacobian (if i = 0 then a else W.double (jacobian a))) in
+            let normalised = Array.copy ps in
+            W.normalize normalised;
+            Array.iteri
+              (fun i p ->
+                let n = normalised.(i) in
+                check_bool "normalised is affine" true (is_affine n);
+                check_bool "same bytes" true (Bytes.equal (W.to_bytes p) (W.to_bytes n));
+                check_bool "same affine coordinates" true (W.to_affine p = W.to_affine n);
+                let decoded = W.of_bytes_exn (W.to_bytes p) in
+                check_bool "decoded is affine" true (is_affine decoded);
+                check_bool "decoded re-encodes" true
+                  (Bytes.equal (W.to_bytes decoded) (W.to_bytes p)))
+              ps
+          done;
+          check_bool "O" true (Bytes.equal (W.to_bytes W.zero) (W.to_bytes (jacobian W.zero))));
       t "normalize round-trips" (fun () ->
           let a = affine () and b = affine () and c = affine () in
           let ps =

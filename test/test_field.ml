@@ -50,7 +50,13 @@ struct
             (F.to_bigint (F.add x y))
             (B.erem (B.add (F.to_bigint x) (F.to_bigint y)) F.modulus));
       t "to_bytes matches bigint" (fun x ->
-          Bytes.equal (F.to_bytes x) (B.to_bytes_be (F.to_bigint x) F.size_in_bytes)) ]
+          Bytes.equal (F.to_bytes x) (B.to_bytes_be (F.to_bigint x) F.size_in_bytes));
+      QCheck.Test.make ~name:(Name.name ^ ": challenge reduction matches bigint") ~count:200
+        QCheck.(string_of_size (Gen.int_bound 80))
+        (fun s ->
+          let module Ch = Zkvc_transcript.Transcript.Challenge (F) in
+          let b = Bytes.of_string s in
+          F.equal (Ch.of_bytes_wide b) (F.of_bigint (B.of_bytes_be b))) ]
 
   (* Edge operands for the multiply, checked against the Bigint reference
      x·y mod p: 0, 1, p−1, p−2, 2^26−1 and 2^(26(k−1)) (k = number of
@@ -120,7 +126,50 @@ struct
           Alcotest.(check bool) "w^(2^(s-1)) <> 1" true (not (F.is_one (pow2 (s - 1)))));
       Alcotest.test_case "inv zero raises" `Quick (fun () ->
           Alcotest.check_raises "inv 0" Division_by_zero (fun () -> ignore (F.inv F.zero)));
-      Alcotest.test_case "mul on edge operands matches bigint" `Quick test_mul_edges ]
+      Alcotest.test_case "mul on edge operands matches bigint" `Quick test_mul_edges;
+      Alcotest.test_case "of_bytes_exn matches bigint on edge encodings" `Quick (fun () ->
+          (* the decoder accepts exactly the big-endian values below p and
+             returns them: 0, p − 1, p, p + 1, all-0xff, and random byte
+             strings, most of them ≥ p for these moduli *)
+          let n = F.size_in_bytes in
+          let p = F.modulus in
+          let enc v = B.to_bytes_be v n in
+          let rng = Random.State.make [| 5; 8 |] in
+          let random_bytes () = Bytes.init n (fun _ -> Char.chr (Random.State.int rng 256)) in
+          List.iter
+            (fun b ->
+              let v = B.of_bytes_be b in
+              match F.of_bytes_exn b with
+              | x ->
+                Alcotest.(check bool) "value below p decoded to itself" true
+                  (B.lt v p && B.equal (F.to_bigint x) v)
+              | exception Invalid_argument _ ->
+                Alcotest.(check bool) "rejected value is at least p" true (B.ge v p))
+            ([ enc B.zero; enc (B.sub p B.one); enc p; enc (B.add p B.one);
+               Bytes.make n '\255' ]
+             @ List.init 64 (fun _ -> random_bytes ())));
+      Alcotest.test_case "challenge reduction matches bigint on edge halves" `Quick (fun () ->
+          (* Transcript challenges reduce 64 hash bytes; halves at or above
+             p, all-0xff and short or empty inputs reduce like the Bigint
+             path B.of_bytes_be mod p *)
+          let module Ch = Zkvc_transcript.Transcript.Challenge (F) in
+          let p = F.modulus in
+          let rng = Random.State.make [| 5; 9 |] in
+          let random_bytes n = Bytes.init n (fun _ -> Char.chr (Random.State.int rng 256)) in
+          let half v = B.to_bytes_be v 32 in
+          let halves =
+            [ half B.zero; half (B.sub p B.one); half p; half (B.add p B.one);
+              Bytes.make 32 '\255'; random_bytes 32 ]
+          in
+          let inputs =
+            List.concat_map (fun hi -> List.map (fun lo -> Bytes.cat hi lo) halves) halves
+            @ [ Bytes.empty; random_bytes 1 ]
+          in
+          List.iter
+            (fun b ->
+              Alcotest.(check bool) "same element" true
+                (F.equal (Ch.of_bytes_wide b) (F.of_bigint (B.of_bytes_be b))))
+            inputs) ]
 
   let suite =
     (Name.name, unit_tests @ List.map QCheck_alcotest.to_alcotest (props @ sqrt_props))

@@ -10,6 +10,7 @@ module Make (F : Zkvc_field.Field_intf.S) = struct
   module Ch = T.Challenge (F)
   module Ml = Zkvc_poly.Multilinear.Make (F)
   module Span = Zkvc_obs.Span
+  module Batch = Zkvc_field.Batch.Make (F)
 
   let rounds_metric = Zkvc_obs.Metrics.counter "sumcheck.rounds"
 
@@ -61,8 +62,8 @@ module Make (F : Zkvc_field.Field_intf.S) = struct
     go 0 1
 
   (* The Fiat–Shamir round loop shared by the kernels: [message ()] is the
-     round polynomial's evaluations for the current tables, [fold r] binds
-     the round's variable to the challenge. *)
+     round polynomial's evaluations for the current tables, [fold evals r]
+     binds the round's variable to the challenge. *)
   let run_rounds transcript ~label mu ~message ~fold =
     let rounds = ref [] and challenges = ref [] in
     for round_ix = 1 to mu do
@@ -71,7 +72,7 @@ module Make (F : Zkvc_field.Field_intf.S) = struct
         let evals = message () in
         Ch.absorb_array transcript ~label:(label ^ "/round") evals;
         let r = Ch.challenge transcript ~label:(label ^ "/chal") in
-        fold r;
+        fold evals r;
         rounds := evals :: !rounds;
         challenges := r :: !challenges
       in
@@ -86,7 +87,8 @@ module Make (F : Zkvc_field.Field_intf.S) = struct
   (* Σ_i of a per-index contribution over [0, half): chunks of the range
      run on the pool when it is large, and since the sum is an exact
      modular reduction the partial sums recombine to the same field
-     elements however the range is split. *)
+     elements however the range is split. [range 0 0] is the empty
+     range's sums, zeros. *)
   let sum_range half range =
     if Parallel.jobs () > 1 && half >= parallel_min_half then
       Parallel.parallel_reduce half
@@ -95,13 +97,12 @@ module Make (F : Zkvc_field.Field_intf.S) = struct
         ~combine:(fun x y -> Array.map2 F.add x y)
     else range 0 half
 
-  (* first variable := r in every table: index i touches only slots i and
-     i + half, disjoint across the parallel range *)
+  (* First variable := r in every table. The round's message pass left the
+     slope hi − lo in the upper half, so the fold is lo + r·slope. Index i
+     touches only slots i and i + half, disjoint across the parallel
+     range. *)
   let fold_tables tables half r =
-    let fold t i =
-      let lo = t.(i) in
-      t.(i) <- F.add lo (F.mul r (F.sub t.(i + half) lo))
-    in
+    let fold t i = t.(i) <- F.add t.(i) (F.mul r t.(i + half)) in
     List.iter
       (fun t ->
         if Parallel.jobs () > 1 && half >= parallel_min_half then
@@ -112,32 +113,53 @@ module Make (F : Zkvc_field.Field_intf.S) = struct
           done)
       tables
 
-  (* value at X = 2 of the line through (0, lo) and (1, hi) *)
-  let at2 lo hi = F.sub (F.double hi) lo
+  (* slot i + half := hi − lo; returns (lo, hi, hi − lo) *)
+  let take_slope t i half =
+    let lo = t.(i) and hi = t.(i + half) in
+    let d = F.sub hi lo in
+    t.(i + half) <- d;
+    (lo, hi, d)
 
-  (** Σ_x a(x)·b(x): the round polynomial has degree 2, and its values
-      at 0, 1, 2 cost three multiplications per index. *)
+  (* Both kernels carry the running claim: the previous round polynomial
+     at its challenge, which is exactly s(0) + s(1) of the next round
+     polynomial. So s(1) is claim − s(0) from round two on — the same
+     field element a direct sum gives, for any tables, satisfying or not —
+     and only round one sums the upper half's values. *)
+
+  (** Σ_x a(x)·b(x). With slopes Δ = hi − lo, the round polynomial is
+      s(X) = Σ_i (a_lo + X·Δa)(b_lo + X·Δb) = s(0) + X(s(1) − s(0) − s∞) + X²·s∞,
+      so a pass sums s(0) = Σ a_lo·b_lo and the leading coefficient
+      s∞ = Σ Δa·Δb, s(1) comes from the claim and
+      s(2) = 2s(1) − s(0) + 2s∞: two multiplications per index, and two
+      more to fold. *)
   let prove_product transcript ~label a b =
     let len = Array.length a in
     if Array.length b <> len then invalid_arg "Sumcheck.prove_product: ragged tables";
     let mu = log2_exact "Sumcheck.prove_product: length not a power of two" len in
     let a = Array.copy a and b = Array.copy b in
-    let half = ref (len / 2) in
+    let half = ref (len / 2) and claim = ref None in
     let message () =
       let h = !half in
-      sum_range h (fun lo_i hi_i ->
-          let s0 = ref F.zero and s1 = ref F.zero and s2 = ref F.zero in
-          for i = lo_i to hi_i - 1 do
-            let a0 = a.(i) and a1 = a.(i + h) and b0 = b.(i) and b1 = b.(i + h) in
-            s0 := F.add !s0 (F.mul a0 b0);
-            s1 := F.add !s1 (F.mul a1 b1);
-            s2 := F.add !s2 (F.mul (at2 a0 a1) (at2 b0 b1))
-          done;
-          [| !s0; !s1; !s2 |])
+      let direct = Option.is_none !claim in
+      let sums =
+        sum_range h (fun lo_i hi_i ->
+            let s0 = ref F.zero and s1 = ref F.zero and s_inf = ref F.zero in
+            for i = lo_i to hi_i - 1 do
+              let a0, a1, da = take_slope a i h and b0, b1, db = take_slope b i h in
+              s0 := F.add !s0 (F.mul a0 b0);
+              if direct then s1 := F.add !s1 (F.mul a1 b1);
+              s_inf := F.add !s_inf (F.mul da db)
+            done;
+            [| !s0; !s1; !s_inf |])
+      in
+      let s0 = sums.(0) in
+      let s1 = match !claim with None -> sums.(1) | Some c -> F.sub c s0 in
+      [| s0; s1; F.add (F.sub (F.double s1) s0) (F.double sums.(2)) |]
     in
-    let fold r =
+    let fold evals r =
       fold_tables [ a; b ] !half r;
-      half := !half / 2
+      half := !half / 2;
+      claim := Some (interpolate_at evals r)
     in
     let rounds, challenges = run_rounds transcript ~label mu ~message ~fold in
     (rounds, challenges, [| a.(0); b.(0) |])
@@ -148,11 +170,15 @@ module Make (F : Zkvc_field.Field_intf.S) = struct
         eq̃(τ, (r_{<j}, X, x')) = acc · l_j(X) · eq̃(τ_{>j}, x'),
 
       where acc = Π_{k<j} eq̃(τ_k, r_k) and l_j(X) = (1 − τ_j) + X(2τ_j − 1).
-      So the round polynomial is acc·l_j(X)·q(X) with
-      q(X) = Σ_{x'} eq̃(τ_{>j}, x')·(a·b − c)(X, x') of degree 2: q(0), q(1),
-      q(2) cost six multiplications per index, q(3) = q(0) − 3q(1) + 3q(2)
-      follows, and the eq̃ table is never folded — the next round's
-      eq̃(τ_{>j+1}, ·) is the sum of the current table's two halves. *)
+      So the round polynomial is s(X) = l_j(X)·Q(X) with
+      Q(X) = acc·Σ_{x'} eq̃(τ_{>j}, x')·(a·b − c)(X, x') of degree 2. A pass
+      sums Q(0) and the leading coefficient Q∞ = acc·Σ e·Δa·Δb: four
+      multiplications per index, and three more to fold a, b, c. Then
+      Q(1) = (claim − s(0))/τ_j, with the τ_j inverted together up front,
+      Q(2) = 2Q(1) − Q(0) + 2Q∞ and Q(3) = 3Q(1) − 2Q(0) + 6Q∞. Round one,
+      and a round with τ_j = 0, sum Q(1) directly instead. The eq̃ table
+      is never folded: the next round's eq̃(τ_{>j+1}, ·) is the sum of the
+      current table's two halves. *)
   let prove_eq_r1cs transcript ~label ~tau a b c =
     let len = Array.length a in
     if Array.length b <> len || Array.length c <> len then
@@ -161,35 +187,42 @@ module Make (F : Zkvc_field.Field_intf.S) = struct
     if List.length tau <> mu then invalid_arg "Sumcheck.prove_eq_r1cs: tau arity mismatch";
     let a = Array.copy a and b = Array.copy b and c = Array.copy c in
     let taus = Array.of_list tau in
+    let tau_invs = Array.copy taus in
+    Batch.invert_all tau_invs;
     (* e = eq̃(τ_{>j}, ·), of length half *)
     let e = match tau with [] -> [| F.one |] | _ :: rest -> Ml.evals (Ml.eq_table rest) in
-    let half = ref (len / 2) and j = ref 0 and acc = ref F.one in
+    let half = ref (len / 2) and j = ref 0 and acc = ref F.one and claim = ref None in
     let message () =
-      let h = !half in
-      let q =
+      let h = !half and tj = taus.(!j) in
+      let direct = Option.is_none !claim || F.is_zero tj in
+      let sums =
         sum_range h (fun lo_i hi_i ->
-            let q0 = ref F.zero and q1 = ref F.zero and q2 = ref F.zero in
+            let q0 = ref F.zero and q1 = ref F.zero and q_inf = ref F.zero in
             for i = lo_i to hi_i - 1 do
               let ei = e.(i) in
-              let a0 = a.(i) and a1 = a.(i + h) in
-              let b0 = b.(i) and b1 = b.(i + h) in
-              let c0 = c.(i) and c1 = c.(i + h) in
+              let a0, a1, da = take_slope a i h and b0, b1, db = take_slope b i h in
+              let c0, c1, _ = take_slope c i h in
               q0 := F.add !q0 (F.mul ei (F.sub (F.mul a0 b0) c0));
-              q1 := F.add !q1 (F.mul ei (F.sub (F.mul a1 b1) c1));
-              q2 := F.add !q2 (F.mul ei (F.sub (F.mul (at2 a0 a1) (at2 b0 b1)) (at2 c0 c1)))
+              if direct then q1 := F.add !q1 (F.mul ei (F.sub (F.mul a1 b1) c1));
+              q_inf := F.add !q_inf (F.mul ei (F.mul da db))
             done;
-            [| !q0; !q1; !q2 |])
+            [| !q0; !q1; !q_inf |])
       in
-      let d = F.sub q.(2) q.(1) in
-      let q3 = F.add q.(0) (F.add d (F.double d)) in
-      let tj = taus.(!j) in
-      let step = F.sub (F.double tj) F.one in
+      let q0 = F.mul !acc sums.(0) and q_inf = F.mul !acc sums.(2) in
       let l0 = F.sub F.one tj in
+      let s0 = F.mul l0 q0 in
+      let q1 =
+        match !claim with
+        | Some c when not direct -> F.mul (F.sub c s0) tau_invs.(!j)
+        | _ -> F.mul !acc sums.(1)
+      in
+      let q2 = F.add (F.sub (F.double q1) q0) (F.double q_inf) in
+      let q3 = F.add (F.sub (F.add q1 (F.double q1)) (F.double q0)) (F.double (F.add q_inf (F.double q_inf))) in
+      let step = F.sub (F.double tj) F.one in
       let l2 = F.add tj step in
-      let l3 = F.add l2 step in
-      Array.map2 (fun l qx -> F.mul (F.mul !acc l) qx) [| l0; tj; l2; l3 |] [| q.(0); q.(1); q.(2); q3 |]
+      [| s0; F.mul tj q1; F.mul l2 q2; F.mul (F.add l2 step) q3 |]
     in
-    let fold r =
+    let fold evals r =
       let h = !half in
       let tj = taus.(!j) in
       acc := F.mul !acc (F.add (F.sub F.one tj) (F.mul r (F.sub (F.double tj) F.one)));
@@ -205,7 +238,8 @@ module Make (F : Zkvc_field.Field_intf.S) = struct
           merge i
         done;
       half := quarter;
-      incr j
+      incr j;
+      claim := Some (interpolate_at evals r)
     in
     let rounds, challenges = run_rounds transcript ~label mu ~message ~fold in
     (rounds, challenges, [| !acc; a.(0); b.(0); c.(0) |])

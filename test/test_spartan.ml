@@ -131,7 +131,12 @@ let sumcheck_tests =
     qtest ~count:60 "eq r1cs kernel matches the generic oracle" gen_kernel_case
       (fun (mu, jobs, seed) ->
         let rng = Random.State.make [| seed |] in
-        let tau = random_point rng mu in
+        (* τ_j = 0 takes the kernel's direct-sum round, τ_j = 1 zeroes
+           l_j(0) *)
+        let tau =
+          List.init mu (fun _ ->
+              match Random.State.int rng 4 with 0 -> Fr.zero | 1 -> Fr.one | _ -> Fr.random rng)
+        in
         let a = random_table rng mu and b = random_table rng mu and c = random_table rng mu in
         let kernel, oracle = with_jobs jobs (fun () -> eq_r1cs_vs_oracle ~tau a b c) in
         let _, r, finals = kernel in

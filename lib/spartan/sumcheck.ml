@@ -97,12 +97,13 @@ module Make (F : Zkvc_field.Field_intf.S) = struct
         ~combine:(fun x y -> Array.map2 F.add x y)
     else range 0 half
 
-  (* First variable := r in every table. The round's message pass left the
-     slope hi − lo in the upper half, so the fold is lo + r·slope. Index i
-     touches only slots i and i + half, disjoint across the parallel
-     range. *)
+  (* first variable := r in every table: index i touches only slots i and
+     i + half, disjoint across the parallel range *)
   let fold_tables tables half r =
-    let fold t i = t.(i) <- F.add t.(i) (F.mul r t.(i + half)) in
+    let fold t i =
+      let lo = t.(i) in
+      t.(i) <- F.add lo (F.mul r (F.sub t.(i + half) lo))
+    in
     List.iter
       (fun t ->
         if Parallel.jobs () > 1 && half >= parallel_min_half then
@@ -112,13 +113,6 @@ module Make (F : Zkvc_field.Field_intf.S) = struct
             fold t i
           done)
       tables
-
-  (* slot i + half := hi − lo; returns (lo, hi, hi − lo) *)
-  let take_slope t i half =
-    let lo = t.(i) and hi = t.(i + half) in
-    let d = F.sub hi lo in
-    t.(i + half) <- d;
-    (lo, hi, d)
 
   (* Both kernels carry the running claim: the previous round polynomial
      at its challenge, which is exactly s(0) + s(1) of the next round
@@ -145,10 +139,10 @@ module Make (F : Zkvc_field.Field_intf.S) = struct
         sum_range h (fun lo_i hi_i ->
             let s0 = ref F.zero and s1 = ref F.zero and s_inf = ref F.zero in
             for i = lo_i to hi_i - 1 do
-              let a0, a1, da = take_slope a i h and b0, b1, db = take_slope b i h in
+              let a0 = a.(i) and a1 = a.(i + h) and b0 = b.(i) and b1 = b.(i + h) in
               s0 := F.add !s0 (F.mul a0 b0);
               if direct then s1 := F.add !s1 (F.mul a1 b1);
-              s_inf := F.add !s_inf (F.mul da db)
+              s_inf := F.add !s_inf (F.mul (F.sub a1 a0) (F.sub b1 b0))
             done;
             [| !s0; !s1; !s_inf |])
       in
@@ -200,11 +194,11 @@ module Make (F : Zkvc_field.Field_intf.S) = struct
             let q0 = ref F.zero and q1 = ref F.zero and q_inf = ref F.zero in
             for i = lo_i to hi_i - 1 do
               let ei = e.(i) in
-              let a0, a1, da = take_slope a i h and b0, b1, db = take_slope b i h in
-              let c0, c1, _ = take_slope c i h in
+              let a0 = a.(i) and a1 = a.(i + h) and b0 = b.(i) and b1 = b.(i + h) in
+              let c0 = c.(i) in
               q0 := F.add !q0 (F.mul ei (F.sub (F.mul a0 b0) c0));
-              if direct then q1 := F.add !q1 (F.mul ei (F.sub (F.mul a1 b1) c1));
-              q_inf := F.add !q_inf (F.mul ei (F.mul da db))
+              if direct then q1 := F.add !q1 (F.mul ei (F.sub (F.mul a1 b1) c.(i + h)));
+              q_inf := F.add !q_inf (F.mul ei (F.mul (F.sub a1 a0) (F.sub b1 b0)))
             done;
             [| !q0; !q1; !q_inf |])
       in
@@ -217,7 +211,8 @@ module Make (F : Zkvc_field.Field_intf.S) = struct
         | _ -> F.mul !acc sums.(1)
       in
       let q2 = F.add (F.sub (F.double q1) q0) (F.double q_inf) in
-      let q3 = F.add (F.sub (F.add q1 (F.double q1)) (F.double q0)) (F.double (F.add q_inf (F.double q_inf))) in
+      let triple x = F.add x (F.double x) in
+      let q3 = F.add (F.sub (triple q1) (F.double q0)) (F.double (triple q_inf)) in
       let step = F.sub (F.double tj) F.one in
       let l2 = F.add tj step in
       [| s0; F.mul tj q1; F.mul l2 q2; F.mul (F.add l2 step) q3 |]

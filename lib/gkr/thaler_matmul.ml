@@ -92,9 +92,7 @@ let prove ~a ~b =
   (* Ax(k) = Ã(rx, k);  By(k) = B̃(k, ry) via the transpose trick *)
   let ax = fold_prefix (mle_table a ~rows_log:mu1 ~cols_log:nu) mu1 rx in
   let by = fold_prefix (mle_table (transpose b) ~rows_log:mu2 ~cols_log:nu) mu2 ry in
-  let rounds, _rk, finals =
-    Sc.prove_product tr ~label:"thaler" ax by
-  in
+  let rounds, _rk, finals = Sc.prove_product tr ~label:"thaler" ax by in
   { rounds; va = finals.(0); vb = finals.(1) }
 
 let verify ~a ~b ~c proof =

@@ -628,7 +628,6 @@ let e2e_tests =
            && Spartan.verify key inst ~public_inputs:[ assignment.(1) ] p2);
         check_bool "proof bytes differ" true (p1 <> p2)) ]
 
-
 (* ---------------- golden proof bytes ---------------- *)
 
 module Lc = Zkvc_zkml.Layer_circuit.Make (Fr)

@@ -107,13 +107,44 @@ let write_file path bytes =
   output_bytes oc bytes;
   close_out oc
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let b = Bytes.create n in
-  really_input ic b 0 n;
-  close_in ic;
-  b
+let read_file path = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all)
+
+(* Read and decode one codec file ([what] names its kind in messages). A
+   missing or malformed file prints why and yields [None]; callers exit 2. *)
+let load_file decode ~what path =
+  match read_file path with
+  | exception Sys_error msg ->
+    (* open errors already name the file; read errors do not *)
+    let msg = if String.starts_with ~prefix:path msg then msg else path ^ ": " ^ msg in
+    Printf.eprintf "zkvc_cli: cannot read %s\n" msg;
+    None
+  | bytes -> (
+    match decode bytes with
+    | Ok v -> Some v
+    | Error e ->
+      Printf.eprintf "zkvc_cli: bad %s file %s: %s\n" what path (Wire.error_to_string e);
+      None)
+
+let load_key_file = load_file Wire.decode_key_file ~what:"key"
+let load_proof_file = load_file Wire.decode_proof_file ~what:"proof"
+
+let write_proof_file file ~backend ~strategy ~dims ~challenge ~key_id ~public_inputs proof =
+  write_file file
+    (Wire.encode_proof_file
+       { Wire.pf_backend = backend;
+         pf_strategy = strategy;
+         pf_dims = dims;
+         pf_challenge = challenge;
+         pf_key_id = key_id;
+         pf_public_inputs = public_inputs;
+         pf_proof = proof })
+
+(* the seeded statement every local subcommand proves, as the server does
+   for [Wire.Seeded] requests *)
+let seeded_statement d seed = Spec.seeded_statement ~seed ~bound:256 d
+
+let public_inputs_of cs assignment =
+  Array.to_list (Array.sub assignment 1 (Api.Cs.num_inputs cs))
 
 (* ---- count ---- *)
 
@@ -177,9 +208,7 @@ let prove_cmd =
   let run_with_key kf seed out =
     let d = kf.Wire.kf_dims and strategy = kf.Wire.kf_strategy in
     let backend = kf.Wire.kf_backend and optimize = kf.Wire.kf_opt in
-    let rng = Random.State.make [| seed |] in
-    let x = Spec.random_matrix rng ~rows:d.Mspec.a ~cols:d.Mspec.n ~bound:256 in
-    let w = Spec.random_matrix rng ~rows:d.Mspec.n ~cols:d.Mspec.b ~bound:256 in
+    let rng, x, w = seeded_statement d seed in
     let prep = Api.prepare ?optimize strategy ~x ~w d in
     let key_id =
       Key_cache.id_of ?opt:optimize backend strategy d ~challenge:prep.Api.challenge
@@ -196,23 +225,13 @@ let prove_cmd =
     end
     else begin
       let proof = Api.prove_with ~rng kf.Wire.kf_keys prep.Api.assignment in
-      let public_inputs =
-        Array.to_list (Array.sub prep.Api.assignment 1 (Api.Cs.num_inputs prep.Api.cs))
-      in
+      let public_inputs = public_inputs_of prep.Api.cs prep.Api.assignment in
       let ok = Api.verify_with kf.Wire.kf_keys ~public_inputs proof in
       Printf.printf "proved under key %s, verified: %b\n" (Wire.hex_of_id key_id) ok;
       (match out with
        | Some file ->
-         let pf =
-           { Wire.pf_backend = backend;
-             pf_strategy = strategy;
-             pf_dims = d;
-             pf_challenge = prep.Api.challenge;
-             pf_key_id = key_id;
-             pf_public_inputs = public_inputs;
-             pf_proof = proof }
-         in
-         write_file file (Wire.encode_proof_file pf);
+         write_proof_file file ~backend ~strategy ~dims:d ~challenge:prep.Api.challenge
+           ~key_id ~public_inputs proof;
          Printf.printf "proof file: %s (key %s)\n" file (Wire.hex_of_id key_id)
        | None -> ());
       if ok then 0 else 1
@@ -222,16 +241,12 @@ let prove_cmd =
     Zkvc_parallel.set_jobs jobs;
     match key_file with
     | Some file -> (
-      match Wire.decode_key_file (read_file file) with
-      | Error e ->
-        Printf.eprintf "zkvc_cli: bad key file %s: %s\n" file (Wire.error_to_string e);
-        2
-      | Ok kf -> run_with_key kf seed out)
+      match load_key_file file with
+      | None -> 2
+      | Some kf -> run_with_key kf seed out)
     | None ->
     let optimize = opt_of_flag optimize in
-    let rng = Random.State.make [| seed |] in
-    let x = Spec.random_matrix rng ~rows:d.Mspec.a ~cols:d.Mspec.n ~bound:256 in
-    let w = Spec.random_matrix rng ~rows:d.Mspec.n ~cols:d.Mspec.b ~bound:256 in
+    let rng, x, w = seeded_statement d seed in
     let observing = trace <> None || metrics in
     if observing then begin
       Obs.Span.reset ();
@@ -257,17 +272,8 @@ let prove_cmd =
          Key_cache.id_of ?opt:optimize backend strategy d ~challenge:prep.Api.challenge
            prep.Api.cs
        in
-       let pf =
-         { Wire.pf_backend = backend;
-           pf_strategy = strategy;
-           pf_dims = d;
-           pf_challenge = prep.Api.challenge;
-           pf_key_id = key_id;
-           pf_public_inputs =
-             Array.to_list (Array.sub prep.Api.assignment 1 (Api.Cs.num_inputs prep.Api.cs));
-           pf_proof = proof }
-       in
-       write_file file (Wire.encode_proof_file pf);
+       write_proof_file file ~backend ~strategy ~dims:d ~challenge:prep.Api.challenge
+         ~key_id ~public_inputs:(public_inputs_of prep.Api.cs prep.Api.assignment) proof;
        Printf.printf "proof file: %s (key %s)\n" file (Wire.hex_of_id key_id)
      | _ -> ());
     (match trace with
@@ -341,7 +347,7 @@ let profile_compare ~baseline ~candidate =
     2
   | Some candidate -> (
     let load path =
-      match Obs.Json.of_string (Bytes.to_string (read_file path)) with
+      match Obs.Json.of_string (In_channel.with_open_bin path In_channel.input_all) with
       | exception Sys_error msg -> Error msg
       | Error e -> Error (path ^ ": " ^ e)
       | Ok v -> Result.map_error (fun e -> path ^ ": " ^ e) (Obs.Attrib.of_json v)
@@ -425,17 +431,16 @@ let profile_cmd =
     | None ->
     Zkvc_parallel.set_jobs jobs;
     let optimize = opt_of_flag optimize in
-    let rng = Random.State.make [| seed |] in
-    let cs, assignment, tree, opt_report, section =
+    let rng, cs, assignment, tree, opt_report, section =
       match arch with
       | None ->
-        (* the same seeded instance [prove] uses *)
-        let x = Spec.random_matrix rng ~rows:d.Mspec.a ~cols:d.Mspec.n ~bound:256 in
-        let w = Spec.random_matrix rng ~rows:d.Mspec.n ~cols:d.Mspec.b ~bound:256 in
+        let rng, x, w = seeded_statement d seed in
         let prep = Api.prepare ?optimize strategy ~x ~w d in
         let report = Option.map (fun o -> o.Api.opt_report) prep.Api.opt in
-        (prep.Api.cs, prep.Api.assignment, prep.Api.regions, report, "profile")
+        (rng, prep.Api.cs, prep.Api.assignment, prep.Api.regions, report, "profile")
       | Some arch ->
+        (* the model path draws no matrices: keygen gets the fresh rng *)
+        let rng = Random.State.make [| seed |] in
         let arch = Models.shrink arch ~factor:shrink in
         let layers = Compiler.compile arch variant in
         let b = Compiler.synthesize ~strategy cfg layers in
@@ -443,7 +448,7 @@ let profile_cmd =
         (match optimize with
          | None ->
            let cs, assignment, tree = Compiler.Counter.B.finalize_attributed b in
-           (cs, assignment, tree, None, section)
+           (rng, cs, assignment, tree, None, section)
          | Some config ->
            let cs, assignment, tree, prov =
              Compiler.Counter.B.finalize_with_provenance b
@@ -458,7 +463,8 @@ let profile_cmd =
                cs
            in
            let tree = Option.value ~default:tree res.Api.Opt.regions in
-           ( res.Api.Opt.cs,
+           ( rng,
+             res.Api.Opt.cs,
              Api.Opt.expand_witness res.Api.Opt.map assignment,
              tree, Some res.Api.Opt.report, section ))
     in
@@ -466,7 +472,7 @@ let profile_cmd =
      | Some r -> Format.printf "%a@.@." Api.Opt.pp_report r
      | None -> ());
     let stats = Api.Cs.stats cs in
-    let public_inputs = Array.to_list (Array.sub assignment 1 (Api.Cs.num_inputs cs)) in
+    let public_inputs = public_inputs_of cs assignment in
     let t0 = Obs.Span.now () in
     let keys = Api.keygen ~rng backend cs in
     let t1 = Obs.Span.now () in
@@ -541,9 +547,7 @@ let profile_cmd =
 
 let gkr_cmd =
   let run d seed =
-    let rng = Random.State.make [| seed |] in
-    let x = Spec.random_matrix rng ~rows:d.Mspec.a ~cols:d.Mspec.n ~bound:256 in
-    let w = Spec.random_matrix rng ~rows:d.Mspec.n ~cols:d.Mspec.b ~bound:256 in
+    let _, x, w = seeded_statement d seed in
     let y = Spec.multiply x w in
     let t0 = Unix.gettimeofday () in
     let proof = Zkvc_gkr.Thaler_matmul.prove ~a:x ~b:w in
@@ -573,9 +577,7 @@ let keygen_cmd =
   let run d strategy backend seed jobs out optimize =
     Zkvc_parallel.set_jobs jobs;
     let optimize = opt_of_flag optimize in
-    let rng = Random.State.make [| seed |] in
-    let x = Spec.random_matrix rng ~rows:d.Mspec.a ~cols:d.Mspec.n ~bound:256 in
-    let w = Spec.random_matrix rng ~rows:d.Mspec.n ~cols:d.Mspec.b ~bound:256 in
+    let rng, x, w = seeded_statement d seed in
     let prep = Api.prepare ?optimize strategy ~x ~w d in
     (match prep.Api.opt with
      | Some { Api.opt_report; _ } -> Format.printf "%a@." Api.Opt.pp_report opt_report
@@ -624,12 +626,9 @@ let srs_seed_arg =
 
 (* Load a proof file and require it to target [kf]'s key. *)
 let load_proof_for kf proof_file =
-  match Wire.decode_proof_file (read_file proof_file) with
-  | Error e ->
-    Printf.eprintf "zkvc_cli: bad proof file %s: %s\n" proof_file
-      (Wire.error_to_string e);
-    None
-  | Ok pf ->
+  match load_proof_file proof_file with
+  | None -> None
+  | Some pf ->
     if pf.Wire.pf_key_id <> kf.Wire.kf_key_id then begin
       Printf.eprintf
         "zkvc_cli: proof %s was made for key %s but the key file holds %s\n"
@@ -705,12 +704,9 @@ let verify_cmd =
     end
   in
   let verify_aggregate kf agg_file srs_seed =
-    match Wire.decode_aggregate_file (read_file agg_file) with
-    | Error e ->
-      Printf.eprintf "zkvc_cli: bad aggregate file %s: %s\n" agg_file
-        (Wire.error_to_string e);
-      2
-    | Ok af ->
+    match load_file Wire.decode_aggregate_file ~what:"aggregate" agg_file with
+    | None -> 2
+    | Some af ->
       if af.Wire.af_key_id <> kf.Wire.kf_key_id then begin
         Printf.eprintf
           "zkvc_cli: aggregate was made for key %s but the key file holds %s\n"
@@ -737,11 +733,9 @@ let verify_cmd =
       end
   in
   let run key_file proof_file batch_files aggregate_file srs_seed =
-    match Wire.decode_key_file (read_file key_file) with
-    | Error e ->
-      Printf.eprintf "zkvc_cli: bad key file %s: %s\n" key_file (Wire.error_to_string e);
-      2
-    | Ok kf -> (
+    match load_key_file key_file with
+    | None -> 2
+    | Some kf -> (
       match (proof_file, batch_files, aggregate_file) with
       | Some pf, [], None -> verify_single kf pf
       | None, (_ :: _ as files), None -> verify_batch kf files
@@ -779,11 +773,9 @@ let aggregate_cmd =
          & info [] ~docv:"PROOF_FILE" ~doc:"Proof files to aggregate (in order).")
   in
   let run key_file out srs_seed proof_files =
-    match Wire.decode_key_file (read_file key_file) with
-    | Error e ->
-      Printf.eprintf "zkvc_cli: bad key file %s: %s\n" key_file (Wire.error_to_string e);
-      2
-    | Ok kf -> (
+    match load_key_file key_file with
+    | None -> 2
+    | Some kf -> (
       match kf.Wire.kf_keys with
       | Api.Spartan_keys _ ->
         Printf.eprintf "zkvc_cli: aggregation is Groth16-only\n";
@@ -969,6 +961,25 @@ let unexpected_response () =
   Printf.eprintf "zkvc_cli: unexpected response type\n";
   3
 
+(* Run [f] over a fresh connection; a server that cannot be reached (no
+   socket, nothing listening) is a transport failure like any other. *)
+let with_server socket f =
+  try Client.with_connection socket f
+  with Unix.Unix_error (err, _, _) ->
+    Printf.eprintf "zkvc_cli: cannot reach server at %s: %s\n" socket
+      (Unix.error_message err);
+    3
+
+(* One request, one reply: [handle] maps the expected reply to an exit
+   code and returns [None] for any other reply type. *)
+let client_call socket request handle =
+  with_server socket (fun c ->
+      match Client.request c request with
+      | Error e -> client_transport_fail e
+      | Ok (Wire.Error { code; message }) -> client_fail code message
+      | Ok reply -> (
+        match handle c reply with Some rc -> rc | None -> unexpected_response ()))
+
 let client_prove_cmd =
   let out_arg =
     Arg.(value & opt (some string) None
@@ -988,20 +999,15 @@ let client_prove_cmd =
       Obs.Sink.enable ()
     end;
     let status =
-      Client.with_connection socket (fun c ->
-          match
-            Client.request c
-              (Wire.Prove
-                 { backend;
-                   strategy;
-                   dims = d;
-                   input = Wire.Seeded { seed; bound = 256 };
-                   deadline_ms })
-          with
-          | Error e -> client_transport_fail e
-          | Ok (Wire.Error { code; message }) -> client_fail code message
-          | Ok (Wire.Prove_ok { key_id; cache_hit; challenge; public_inputs; proof; prove_s })
-            ->
+      client_call socket
+        (Wire.Prove
+           { backend;
+             strategy;
+             dims = d;
+             input = Wire.Seeded { seed; bound = 256 };
+             deadline_ms })
+        (fun c -> function
+          | Wire.Prove_ok { key_id; cache_hit; challenge; public_inputs; proof; prove_s } ->
             Printf.printf "proved in %.4fs (key %s, cache %s, proof %dB)\n" prove_s
               (Wire.hex_of_id key_id)
               (if cache_hit then "hit" else "miss")
@@ -1011,19 +1017,12 @@ let client_prove_cmd =
              | None -> ());
             (match out with
              | Some file ->
-               write_file file
-                 (Wire.encode_proof_file
-                    { Wire.pf_backend = backend;
-                      pf_strategy = strategy;
-                      pf_dims = d;
-                      pf_challenge = challenge;
-                      pf_key_id = key_id;
-                      pf_public_inputs = public_inputs;
-                      pf_proof = proof });
+               write_proof_file file ~backend ~strategy ~dims:d ~challenge ~key_id
+                 ~public_inputs proof;
                Printf.printf "proof file: %s\n" file
              | None -> ());
-            0
-          | Ok _ -> unexpected_response ())
+            Some 0
+          | _ -> None)
     in
     (match trace with
      | Some file ->
@@ -1046,14 +1045,10 @@ let client_keygen_cmd =
          & info [ "out" ] ~docv:"FILE" ~doc:"Save the returned key file here.")
   in
   let run socket d strategy backend seed deadline_ms out =
-    Client.with_connection socket (fun c ->
-        match
-          Client.request c
-            (Wire.Keygen { backend; strategy; dims = d; seed; bound = 256; deadline_ms })
-        with
-        | Error e -> client_transport_fail e
-        | Ok (Wire.Error { code; message }) -> client_fail code message
-        | Ok (Wire.Keygen_ok { key_id; cache_hit; key_bytes }) ->
+    client_call socket
+      (Wire.Keygen { backend; strategy; dims = d; seed; bound = 256; deadline_ms })
+      (fun _ -> function
+        | Wire.Keygen_ok { key_id; cache_hit; key_bytes } ->
           Printf.printf "key %s (cache %s, %dB)\n" (Wire.hex_of_id key_id)
             (if cache_hit then "hit" else "miss")
             (Bytes.length key_bytes);
@@ -1062,8 +1057,8 @@ let client_keygen_cmd =
              write_file file key_bytes;
              Printf.printf "key file: %s\n" file
            | None -> ());
-          0
-        | Ok _ -> unexpected_response ())
+          Some 0
+        | _ -> None)
   in
   let doc = "Generate (or fetch cached) keys on the server." in
   Cmd.v (Cmd.info "keygen" ~doc)
@@ -1083,40 +1078,23 @@ let client_verify_cmd =
                    key).")
   in
   let verify_one socket proof_file deadline_ms =
-    match Wire.decode_proof_file (read_file proof_file) with
-    | Error e ->
-      Printf.eprintf "zkvc_cli: bad proof file %s: %s\n" proof_file
-        (Wire.error_to_string e);
-      2
-    | Ok pf ->
-      Client.with_connection socket (fun c ->
-          match
-            Client.request c
-              (Wire.Verify
-                 { key_id = pf.Wire.pf_key_id;
-                   public_inputs = pf.Wire.pf_public_inputs;
-                   proof = pf.Wire.pf_proof;
-                   deadline_ms })
-          with
-          | Error e -> client_transport_fail e
-          | Ok (Wire.Error { code; message }) -> client_fail code message
-          | Ok (Wire.Verify_ok ok) ->
+    match load_proof_file proof_file with
+    | None -> 2
+    | Some pf ->
+      client_call socket
+        (Wire.Verify
+           { key_id = pf.Wire.pf_key_id;
+             public_inputs = pf.Wire.pf_public_inputs;
+             proof = pf.Wire.pf_proof;
+             deadline_ms })
+        (fun _ -> function
+          | Wire.Verify_ok ok ->
             Printf.printf "verified: %b\n" ok;
-            if ok then 0 else 1
-          | Ok _ -> unexpected_response ())
+            Some (if ok then 0 else 1)
+          | _ -> None)
   in
   let verify_batch socket files deadline_ms =
-    let pfs =
-      List.map
-        (fun file ->
-          match Wire.decode_proof_file (read_file file) with
-          | Error e ->
-            Printf.eprintf "zkvc_cli: bad proof file %s: %s\n" file
-              (Wire.error_to_string e);
-            None
-          | Ok pf -> Some pf)
-        files
-    in
+    let pfs = List.map load_proof_file files in
     if List.exists (( = ) None) pfs then 2
     else begin
       let pfs = List.filter_map Fun.id pfs in
@@ -1126,7 +1104,7 @@ let client_verify_cmd =
         2
       end
       else
-        Client.with_connection socket (fun c ->
+        with_server socket (fun c ->
             match
               Client.request c
                 (Wire.Batch_verify
@@ -1189,38 +1167,30 @@ let client_status_cmd =
                    to stderr).")
   in
   let run socket detail =
-    Client.with_connection socket (fun c ->
-        if detail then
-          match Client.request c Wire.Status_detail with
-          | Error e -> client_transport_fail e
-          | Ok (Wire.Error { code; message }) -> client_fail code message
-          | Ok (Wire.Status_detail_ok { status; flight_jsonl; _ }) ->
-            print_status stderr status;
-            print_string flight_jsonl;
-            0
-          | Ok _ -> unexpected_response ()
-        else
-          match Client.request c Wire.Status with
-          | Error e -> client_transport_fail e
-          | Ok (Wire.Error { code; message }) -> client_fail code message
-          | Ok (Wire.Status_ok s) ->
-            print_status stdout s;
-            0
-          | Ok _ -> unexpected_response ())
+    if detail then
+      client_call socket Wire.Status_detail (fun _ -> function
+        | Wire.Status_detail_ok { status; flight_jsonl; _ } ->
+          print_status stderr status;
+          print_string flight_jsonl;
+          Some 0
+        | _ -> None)
+    else
+      client_call socket Wire.Status (fun _ -> function
+        | Wire.Status_ok s ->
+          print_status stdout s;
+          Some 0
+        | _ -> None)
   in
   Cmd.v (Cmd.info "status" ~doc:"Print the server's status counters.")
     Term.(const run $ socket_arg $ detail_arg)
 
 let client_shutdown_cmd =
   let run socket =
-    Client.with_connection socket (fun c ->
-        match Client.request c Wire.Shutdown with
-        | Error e -> client_transport_fail e
-        | Ok (Wire.Error { code; message }) -> client_fail code message
-        | Ok Wire.Shutdown_ok ->
-          Printf.printf "server stopped\n";
-          0
-        | Ok _ -> unexpected_response ())
+    client_call socket Wire.Shutdown (fun _ -> function
+      | Wire.Shutdown_ok ->
+        Printf.printf "server stopped\n";
+        Some 0
+      | _ -> None)
   in
   Cmd.v
     (Cmd.info "shutdown" ~doc:"Drain in-flight jobs and stop the server gracefully.")
@@ -1249,12 +1219,7 @@ let top_cmd =
                    text is validated against the exposition grammar.")
   in
   let render_file path =
-    match
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with
+    match In_channel.with_open_bin path In_channel.input_all with
     | exception Sys_error msg ->
       Printf.eprintf "zkvc_cli: %s\n" msg;
       1
@@ -1279,15 +1244,12 @@ let top_cmd =
         0)
   in
   let render_live socket =
-    Client.with_connection socket (fun c ->
-        match Client.request c Wire.Status_detail with
-        | Error e -> client_transport_fail e
-        | Ok (Wire.Error { code; message }) -> client_fail code message
-        | Ok (Wire.Status_detail_ok { status; metrics_text; _ }) ->
-          print_status stdout status;
-          print_string metrics_text;
-          0
-        | Ok _ -> unexpected_response ())
+    client_call socket Wire.Status_detail (fun _ -> function
+      | Wire.Status_detail_ok { status; metrics_text; _ } ->
+        print_status stdout status;
+        print_string metrics_text;
+        Some 0
+      | _ -> None)
   in
   let run socket watch file =
     match file with

@@ -150,10 +150,6 @@ type keys =
       { qap : Qap.t; pk : Groth16.proving_key; vk : Groth16.verifying_key }
   | Spartan_keys of { inst : Spartan.instance; key : Spartan.key }
 
-let keys_backend = function
-  | Groth16_keys _ -> Backend_groth16
-  | Spartan_keys _ -> Backend_spartan
-
 let default_rng () = Random.State.make [| 0x5eed |]
 
 (* [keygen] consumes [rng] exactly as [run] historically did (Groth16

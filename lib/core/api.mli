@@ -112,8 +112,6 @@ type keys =
   | Spartan_keys of
       { inst : Zkvc_spartan.Spartan.instance; key : Zkvc_spartan.Spartan.key }
 
-val keys_backend : keys -> backend
-
 (** Run the backend's setup for one compiled circuit. Consumes [rng]
     exactly as {!run} does (Groth16 toxic-waste draws; Spartan setup is
     deterministic), so [keygen] followed by {!prove_with} on the same

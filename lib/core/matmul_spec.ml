@@ -18,6 +18,12 @@ module Make (F : Zkvc_field.Field_intf.S) = struct
     Array.init rows (fun _ ->
         Array.init cols (fun _ -> F.of_int (Random.State.int st bound)))
 
+  let seeded_statement ~seed ~bound d =
+    let rng = Random.State.make [| seed |] in
+    let x = random_matrix rng ~rows:d.a ~cols:d.n ~bound in
+    let w = random_matrix rng ~rows:d.n ~cols:d.b ~bound in
+    (rng, x, w)
+
   let multiply x w =
     let a = Array.length x and n = Array.length w in
     if n = 0 || Array.length x.(0) <> n then invalid_arg "Matmul_spec.multiply: dims";

@@ -15,6 +15,14 @@ val vit_embedding : dim2:int -> dims
 module Make (F : Zkvc_field.Field_intf.S) : sig
   val random_matrix : Random.State.t -> rows:int -> cols:int -> bound:int -> F.t array array
 
+  (** The seeded statement the CLI and the proof service prove: a fresh
+      [rng] from [seed] draws X, then W, with entries below [bound].
+      The same [rng] then feeds keygen and prove, so a given seed yields
+      byte-identical proofs wherever it is proved. *)
+  val seeded_statement :
+    seed:int -> bound:int -> dims ->
+    Random.State.t * F.t array array * F.t array array
+
   (** Reference product. Raises [Invalid_argument] on dimension mismatch. *)
   val multiply : F.t array array -> F.t array array -> F.t array array
 

@@ -8,7 +8,6 @@ let zero = make Fq.zero Fq.zero
 let one = make Fq.one Fq.zero
 let of_fq c = make c Fq.zero
 let of_int n = of_fq (Fq.of_int n)
-let of_strings a b = make (Fq.of_string a) (Fq.of_string b)
 
 let xi = make (Fq.of_int 9) Fq.one
 

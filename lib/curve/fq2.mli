@@ -10,7 +10,6 @@ val one : t
 val make : Fq.t -> Fq.t -> t
 val of_fq : Fq.t -> t
 val of_int : int -> t
-val of_strings : string -> string -> t
 
 (** The sextic-twist non-residue ξ = 9 + u. *)
 val xi : t

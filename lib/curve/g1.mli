@@ -17,7 +17,6 @@ val is_on_curve : t -> bool
 val neg : t -> t
 val double : t -> t
 val add : t -> t -> t
-val sub_point : t -> t -> t
 
 (** Rewrites every point in place to affine form with one inversion; see
     {!Weierstrass.Make.normalize}. *)

@@ -128,8 +128,6 @@ struct
       end
     end
 
-  let sub_point p q = add p (neg q)
-
   (* Montgomery's trick with zero masking, as Batch.invert_all: the
      points at infinity and the already-affine points contribute F.one to
      the running products and keep their encoding, so one F.inv serves

@@ -47,8 +47,6 @@ end) : sig
       11M + 5S) when either operand is affine ([z = F.one]). *)
   val add : t -> t -> t
 
-  val sub_point : t -> t -> t
-
   (** [normalize ps] rewrites every point of [ps] in place to affine
       form ([z = F.one]) with one field inversion for the whole array;
       the points at infinity are left as they are. The group elements,

@@ -85,9 +85,6 @@ let proof_of_bytes_compressed_exn bytes =
   let c = G1.of_bytes_compressed_exn (Bytes.sub bytes (g1w + g2w) g1w) in
   { a; b; c }
 
-let verifying_key_size_bytes vk =
-  g1_bytes + (3 * g2_bytes) + (Array.length vk.vk_ic * g1_bytes)
-
 (* ---- key wire encodings ----
    Length-prefixed point arrays over the tagged uncompressed point
    formats. Parsing validates every point's curve equation (via

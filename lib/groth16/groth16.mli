@@ -78,10 +78,6 @@ type batch_result =
     [true]) let a dropped-to-empty batch "verify". *)
 val verify_batch : verifying_key -> (Fr.t list * proof) list -> batch_result
 
-(** Byte size of the verifying key (grows only with the public input
-    count). *)
-val verifying_key_size_bytes : verifying_key -> int
-
 (** {2 Verifying-key components}
 
     Read-only accessors for protocols layered on top of the plain

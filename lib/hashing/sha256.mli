@@ -1,6 +1,6 @@
 (** SHA-256 (FIPS 180-4), implemented from the specification because no
     cryptographic package is available offline. Used for Fiat–Shamir
-    transcripts, commitments and Merkle trees. *)
+    transcripts and commitments. *)
 
 type ctx
 

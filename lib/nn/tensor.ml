@@ -32,7 +32,6 @@ let map2 f a b =
 
 let add = map2 ( +. )
 let sub = map2 ( -. )
-let hadamard = map2 ( *. )
 let scale k = map (fun v -> k *. v)
 
 let transpose t = init t.cols t.rows (fun i j -> get t j i)
@@ -75,15 +74,6 @@ let softmax_rows t =
 let softmax_cols t = transpose (softmax_rows (transpose t))
 
 let gelu_exact v = 0.5 *. v *. (1. +. tanh (sqrt (2. /. Float.pi) *. (v +. (0.044715 *. v *. v *. v))))
-
-(** Row mean as a column vector (rows × 1). *)
-let row_mean t =
-  init t.rows 1 (fun i _ ->
-      let s = ref 0. in
-      for j = 0 to t.cols - 1 do
-        s := !s +. get t i j
-      done;
-      !s /. float_of_int t.cols)
 
 (** Per-row layer normalisation with learned gain/bias vectors. *)
 let layernorm ?(eps = 1e-5) t ~gamma ~beta =

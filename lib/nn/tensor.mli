@@ -15,7 +15,6 @@ val map : (float -> float) -> t -> t
 val map2 : (float -> float -> float) -> t -> t -> t
 val add : t -> t -> t
 val sub : t -> t -> t
-val hadamard : t -> t -> t
 val scale : float -> t -> t
 val transpose : t -> t
 val matmul : t -> t -> t
@@ -28,9 +27,6 @@ val softmax_cols : t -> t
 
 (** Exact GELU (tanh form). *)
 val gelu_exact : float -> float
-
-(** Row means as a rows × 1 tensor. *)
-val row_mean : t -> t
 
 (** Per-row layer normalisation with learned gain/bias. *)
 val layernorm : ?eps:float -> t -> gamma:float array -> beta:float array -> t

@@ -74,8 +74,6 @@ let set g v =
     Mutex.unlock write_mutex
   end
 
-let gauge_value g = if g.g_set then Some g.g_value else None
-
 let lcg st = ((st * 25214903917) + 11) land 0x3FFFFFFFFFFFF
 
 let observe h v =

@@ -32,7 +32,6 @@ val add : counter -> int -> unit
 val counter_value : counter -> int
 
 val set : gauge -> float -> unit
-val gauge_value : gauge -> float option
 
 (** Maximum samples a histogram retains; beyond it, reservoir sampling
     keeps an unbiased subset while [hist_count]/[hist_sum] stay exact. *)

@@ -7,8 +7,3 @@ let enabled = ref false
 let enable () = enabled := true
 let disable () = enabled := false
 let is_enabled () = !enabled
-
-let with_enabled f =
-  let prev = !enabled in
-  enabled := true;
-  Fun.protect ~finally:(fun () -> enabled := prev) f

@@ -9,7 +9,3 @@ val enabled : bool ref
 val enable : unit -> unit
 val disable : unit -> unit
 val is_enabled : unit -> bool
-
-(** Run [f] with the sink enabled, restoring the previous state after
-    (including on exceptions). *)
-val with_enabled : (unit -> 'a) -> 'a

@@ -1,6 +1,6 @@
 (* Robust statistics over small, heavy-tailed timing samples: medians and
    MAD rather than mean/stddev so a single GC pause or preempted rep does
-   not move the centre or explode the noise band. *)
+   not move the centre or explode the spread. *)
 
 let check name xs =
   if Array.length xs = 0 then invalid_arg ("Stats." ^ name ^ ": empty sample")
@@ -24,5 +24,3 @@ let mad xs =
   check "mad" xs;
   let m = median xs in
   median (Array.map (fun x -> Float.abs (x -. m)) xs)
-
-let noise_band ?(k = 4.) xs = k *. mad xs

@@ -4,7 +4,7 @@
     Medians and the median absolute deviation are used instead of
     mean/stddev because bench samples are few (3–10 reps) and heavy-tailed
     (GC pauses, scheduler preemption): one outlier rep must not move the
-    reported centre or explode the noise band. All functions copy their
+    reported centre or explode the spread. All functions copy their
     input before sorting and raise [Invalid_argument] on an empty array. *)
 
 val minimum : float array -> float
@@ -17,8 +17,3 @@ val median : float array -> float
 (** Median absolute deviation around the median: [median |x_i − median|].
     Zero for constant samples (and for a single sample). *)
 val mad : float array -> float
-
-(** [noise_band ?k xs] is [k ·. mad xs] (default [k = 4.]): the half-width
-    within which a repeated measurement of the same code is considered
-    noise. Monotone in [k]; zero when the samples are constant. *)
-val noise_band : ?k:float -> float array -> float

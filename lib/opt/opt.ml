@@ -51,9 +51,6 @@ module Make (F : Zkvc_field.Field_intf.S) = struct
       expand : (int * F.t) list array; (* per optimised wire, over original *)
       restore : (int * F.t) list array (* per original wire, over optimised *) }
 
-  let original_vars m = m.n_orig
-  let optimized_vars m = m.n_opt
-
   let eval_terms terms z =
     List.fold_left (fun acc (v, c) -> F.add acc (F.mul c z.(v))) F.zero terms
 

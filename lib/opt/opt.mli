@@ -79,14 +79,8 @@ module Make (F : Zkvc_field.Field_intf.S) : sig
 
   type witness_map
 
-  (** Number of wires (including wire 0) in the original / optimised
-      system. *)
-  val original_vars : witness_map -> int
-
-  val optimized_vars : witness_map -> int
-
-  (** Map a full original assignment (length [original_vars], slot 0 = 1)
-      to a full optimised assignment. *)
+  (** Map a full original assignment (slot 0 = 1) to a full optimised
+      assignment. *)
   val expand_witness : witness_map -> F.t array -> F.t array
 
   (** Map a full optimised assignment back to an original-layout

@@ -12,11 +12,6 @@ module Make (F : Zkvc_field.Field_intf.S) = struct
   let constant c = normalize [| c |]
   let one = constant F.one
 
-  let monomial k =
-    let a = Array.make (k + 1) F.zero in
-    a.(k) <- F.one;
-    a
-
   let of_coeffs a = normalize (Array.copy a)
   let of_list l = normalize (Array.of_list l)
   let coeffs p = Array.copy p

@@ -11,9 +11,6 @@ module Make (F : Zkvc_field.Field_intf.S) : sig
   val one : t
   val constant : F.t -> t
 
-  (** [x^k] with coefficient 1. *)
-  val monomial : int -> t
-
   (** Trailing zero coefficients are stripped. *)
   val of_coeffs : F.t array -> t
 

@@ -106,9 +106,6 @@ module Make (F : Zkvc_field.Field_intf.S) = struct
   (** Allocate a public input wire holding [value]. *)
   let alloc_input b value = alloc_kind b Input value
 
-  (** The constant-one wire. *)
-  let one_var = 0
-
   let value b v = if v = 0 then F.one else b.values.(v)
 
   let eval b lc =

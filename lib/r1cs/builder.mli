@@ -28,9 +28,6 @@ module Make (F : Zkvc_field.Field_intf.S) : sig
   (** Allocate a public input wire holding [value]. *)
   val alloc_input : t -> F.t -> L.var
 
-  (** The constant-one wire. *)
-  val one_var : L.var
-
   (** Current value of a wire. *)
   val value : t -> L.var -> F.t
 

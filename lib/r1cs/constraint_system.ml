@@ -71,9 +71,4 @@ module Make (F : Zkvc_field.Field_intf.S) = struct
     M.set (M.gauge "r1cs.nonzero_b") (float_of_int s.nonzero_b);
     M.set (M.gauge "r1cs.nonzero_c") (float_of_int s.nonzero_c);
     s
-
-  let pp_stats fmt s =
-    Format.fprintf fmt
-      "constraints=%d variables=%d nnz(A)=%d nnz(B)=%d nnz(C)=%d"
-      s.constraints s.variables s.nonzero_a s.nonzero_b s.nonzero_c
 end

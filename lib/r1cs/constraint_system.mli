@@ -39,5 +39,4 @@ module Make (F : Zkvc_field.Field_intf.S) : sig
       nonzero_c : int }
 
   val stats : t -> stats
-  val pp_stats : Format.formatter -> stats -> unit
 end

@@ -215,5 +215,3 @@ let close t =
   with_lock t (fun () ->
       t.closed <- true;
       Condition.broadcast t.nonempty)
-
-let is_closed t = with_lock t (fun () -> t.closed)

@@ -65,5 +65,3 @@ val complete : 'a t -> client:int -> unit
 
 (** Stop accepting jobs; blocked {!pop}s return once the backlog drains. *)
 val close : 'a t -> unit
-
-val is_closed : 'a t -> bool

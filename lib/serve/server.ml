@@ -292,15 +292,11 @@ let check_deadline deadline =
 let matrices_of_input dims input =
   match input with
   | Wire.Seeded { seed; bound } ->
-    (* replicates the CLI's seeded instance exactly: rng -> X -> W, then
-       the same rng feeds keygen and prove. On a key-cache miss the
-       proof is byte-identical to a local seeded CLI prove; on a hit the
-       setup's RNG draws are skipped, so the prover randomness — and the
-       proof bytes — differ (the proof itself stays valid). *)
-    let rng = Random.State.make [| seed |] in
-    let x = Spec_fr.random_matrix rng ~rows:dims.Spec.a ~cols:dims.Spec.n ~bound in
-    let w = Spec_fr.random_matrix rng ~rows:dims.Spec.n ~cols:dims.Spec.b ~bound in
-    (rng, x, w)
+    (* On a key-cache miss the proof is byte-identical to a local seeded
+       CLI prove; on a hit the setup's RNG draws are skipped, so the
+       prover randomness — and the proof bytes — differ (the proof itself
+       stays valid). *)
+    Spec_fr.seeded_statement ~seed ~bound dims
   | Wire.Explicit { seed; x; w } ->
     let rows m = Array.length m and cols m = Array.length m.(0) in
     if rows x <> dims.Spec.a || cols x <> dims.Spec.n

@@ -18,8 +18,6 @@ module Make (F : Zkvc_field.Field_intf.S) = struct
       entries;
     { mu; nu; entries }
 
-  let num_nonzero t = List.length t.entries
-
   (** [mul_vec t z] is the length-2^µ vector [M·z]. *)
   let mul_vec t z =
     if Array.length z <> 1 lsl t.nu then invalid_arg "Sparse_matrix.mul_vec: length";

@@ -11,8 +11,6 @@ module Make (F : Zkvc_field.Field_intf.S) : sig
       [Invalid_argument] on out-of-range entries. *)
   val create : mu:int -> nu:int -> entry list -> t
 
-  val num_nonzero : t -> int
-
   (** [mul_vec t z] is the length-2^µ vector [M·z]. *)
   val mul_vec : t -> F.t array -> F.t array
 

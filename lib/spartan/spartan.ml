@@ -53,7 +53,6 @@ let preprocess (cs : Cs.t) =
     num_inputs = ni;
     num_aux = Cs.num_aux cs }
 
-let num_rounds_x t = t.mu
 let num_rounds_y t = t.nu
 
 (* Hyrax layout of the witness half: 2^wrows × 2^wcols matrix. *)

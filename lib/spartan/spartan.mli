@@ -25,7 +25,6 @@ type instance
 (** Pad and index an R1CS for Spartan. *)
 val preprocess : Cs.t -> instance
 
-val num_rounds_x : instance -> int
 val num_rounds_y : instance -> int
 
 type key

@@ -37,5 +37,3 @@ let zero_counts = { constraints = 0; variables = 0 }
 
 let add_counts a b =
   { constraints = a.constraints + b.constraints; variables = a.variables + b.variables }
-
-let scale_counts k c = { constraints = k * c.constraints; variables = k * c.variables }

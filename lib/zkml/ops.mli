@@ -20,4 +20,3 @@ type counts = { constraints : int; variables : int }
 
 val zero_counts : counts
 val add_counts : counts -> counts -> counts
-val scale_counts : int -> counts -> counts

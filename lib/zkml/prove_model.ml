@@ -48,12 +48,6 @@ let prove_op ?strategy backend cfg op =
     if not ok then failwith "prove_op: spartan verification failed";
     (nc, t_prove, t_verify, Spartan.proof_size_bytes proof)
 
-(** Full-model proving-time estimate from exact counts + calibration. *)
-let estimate_model ?strategy ~calib cfg arch variant =
-  let layers = Compiler.compile arch variant in
-  let counts = Compiler.total_counts ?strategy cfg layers in
-  (counts, Cost_model.estimate calib counts.Ops.constraints)
-
 type table3_row =
   { dataset : string;
     variant : Models.variant;

@@ -16,15 +16,6 @@ val prove_op :
   Ops.t ->
   int * float * float * int
 
-(** Exact counts + extrapolated proving seconds for a full model. *)
-val estimate_model :
-  ?strategy:Zkvc.Matmul_circuit.strategy ->
-  calib:Cost_model.calibration ->
-  Zkvc.Nonlinear.config ->
-  Models.arch ->
-  Models.variant ->
-  Ops.counts * float
-
 type table3_row =
   { dataset : string;
     variant : Models.variant;

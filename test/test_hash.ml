@@ -1,5 +1,4 @@
 module Sha256 = Zkvc_hash.Sha256
-module Merkle = Zkvc_hash.Merkle
 
 let check_str = Alcotest.(check string)
 let check_bool = Alcotest.(check bool)
@@ -43,41 +42,6 @@ let prop_incremental =
       Sha256.update_string ctx a;
       Sha256.update_string ctx b;
       Bytes.equal (Sha256.finalize ctx) (Sha256.digest_string (a ^ b)))
-
-let leaves n = List.init n (fun i -> Bytes.of_string (Printf.sprintf "leaf-%d" i))
-
-let test_merkle_roundtrip () =
-  List.iter
-    (fun n ->
-      let ls = leaves n in
-      let tree = Merkle.of_leaves ls in
-      List.iteri
-        (fun i leaf ->
-          let path = Merkle.path tree i in
-          check_bool
-            (Printf.sprintf "n=%d leaf=%d verifies" n i)
-            true
-            (Merkle.verify ~root:(Merkle.root tree) ~leaf ~index:i ~path))
-        ls)
-    [ 1; 2; 3; 4; 5; 7; 8; 16; 33 ]
-
-let test_merkle_rejects_tamper () =
-  let tree = Merkle.of_leaves (leaves 8) in
-  let root = Merkle.root tree in
-  let path = Merkle.path tree 3 in
-  check_bool "wrong leaf" false
-    (Merkle.verify ~root ~leaf:(Bytes.of_string "evil") ~index:3 ~path);
-  check_bool "wrong index" false
-    (Merkle.verify ~root ~leaf:(Bytes.of_string "leaf-3") ~index:4 ~path);
-  let bad_root = Bytes.copy root in
-  Bytes.set bad_root 0 (Char.chr (Char.code (Bytes.get bad_root 0) lxor 1));
-  check_bool "wrong root" false
-    (Merkle.verify ~root:bad_root ~leaf:(Bytes.of_string "leaf-3") ~index:3 ~path)
-
-let test_merkle_distinct_roots () =
-  let r1 = Merkle.root (Merkle.of_leaves (leaves 4)) in
-  let r2 = Merkle.root (Merkle.of_leaves (leaves 5)) in
-  check_bool "different leaf sets, different roots" false (Bytes.equal r1 r2)
 
 module T = Zkvc_transcript.Transcript
 module Ch = T.Challenge (Zkvc_field.Fr)
@@ -127,10 +91,6 @@ let () =
         [ Alcotest.test_case "NIST vectors" `Quick test_vectors;
           Alcotest.test_case "incremental" `Quick test_incremental_matches_oneshot;
           QCheck_alcotest.to_alcotest prop_incremental ] );
-      ( "merkle",
-        [ Alcotest.test_case "roundtrip" `Quick test_merkle_roundtrip;
-          Alcotest.test_case "tamper rejected" `Quick test_merkle_rejects_tamper;
-          Alcotest.test_case "distinct roots" `Quick test_merkle_distinct_roots ] );
       ( "transcript",
         [ Alcotest.test_case "determinism" `Quick test_transcript_determinism;
           Alcotest.test_case "input sensitivity" `Quick test_transcript_sensitivity;

@@ -17,6 +17,8 @@ module Wire = Zkvc_serve.Wire
 module Compiler = Zkvc_zkml.Compiler
 module Ops = Zkvc_zkml.Ops
 module Nl = Zkvc.Nonlinear
+module Models = Zkvc_nn.Models
+module Attrib = Zkvc_obs.Attrib
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -305,6 +307,32 @@ let test_zkml_prove_optimised () =
         (Api.verify_with keys ~public_inputs:publics proof))
     [ Api.Backend_groth16; Api.Backend_spartan ]
 
+(* The pipeline wins on a real model: the ViT token mixer (cifar10, zkvc
+   variant, shrunk by 24) loses nonzeros, and the region tree re-attributed
+   through the optimiser still sums to the optimised ledger. *)
+let test_vit_nnz_win () =
+  let arch = Models.shrink Models.vit_cifar10 ~factor:24 in
+  let layers = Compiler.compile arch Models.Zkvc_hybrid in
+  let b = Compiler.synthesize ~strategy:Mc.Crpc_psq Nl.default_config layers in
+  let cs, _, tree, prov = Compiler.Counter.B.finalize_with_provenance b in
+  let res =
+    Opt.optimize
+      ~provenance:
+        { Opt.constraint_region = prov.Compiler.Counter.B.constraint_region;
+          wire_region = prov.Compiler.Counter.B.wire_region;
+          tree }
+      cs
+  in
+  let nnz (s : Cs.stats) = s.Cs.nonzero_a + s.Cs.nonzero_b + s.Cs.nonzero_c in
+  let before = nnz res.Opt.report.Opt.before and after = nnz res.Opt.report.Opt.after in
+  check_bool (Printf.sprintf "total nnz falls (%d -> %d)" before after) true (after < before);
+  match res.Opt.regions with
+  | None -> Alcotest.fail "optimiser dropped the region tree"
+  | Some tree ->
+    check_int "region constraint total = optimised ledger"
+      (Cs.stats res.Opt.cs).Cs.constraints
+      (Attrib.total tree).Attrib.constraints
+
 (* ---- end-to-end: prove and verify optimised circuits, both backends ---- *)
 
 let test_prove_both_backends () =
@@ -394,5 +422,6 @@ let () =
       ( "pipeline",
         [ Alcotest.test_case "prove both backends" `Slow test_prove_both_backends;
           Alcotest.test_case "zkml optimised prove" `Slow test_zkml_prove_optimised;
+          Alcotest.test_case "vit nnz win" `Slow test_vit_nnz_win;
           Alcotest.test_case "shape determinism" `Quick test_shape_determinism;
           Alcotest.test_case "key file roundtrip" `Quick test_key_file_roundtrip ] ) ]

@@ -21,6 +21,7 @@ module Client = Zkvc_serve.Client
 module Span = Zkvc_obs.Span
 module Sink = Zkvc_obs.Sink
 module Expose = Zkvc_obs.Expose
+module Metrics = Zkvc_obs.Metrics
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -32,11 +33,13 @@ let contains ~sub s =
 
 let tiny = Mspec.dims ~a:2 ~n:2 ~b:2
 
-let instance_of_seed seed =
-  let rng = Random.State.make [| seed |] in
-  let x = Spec.random_matrix rng ~rows:tiny.Mspec.a ~cols:tiny.Mspec.n ~bound:16 in
-  let w = Spec.random_matrix rng ~rows:tiny.Mspec.n ~cols:tiny.Mspec.b ~bound:16 in
-  (rng, x, w)
+(* Observing servers enable the process-wide sink; a case that starts one
+   switches it off again so later cases run unobserved. *)
+let observed f = Fun.protect ~finally:Sink.disable f
+
+let counter name = Metrics.counter_value (Metrics.counter name)
+
+let instance_of_seed seed = Spec.seeded_statement ~seed ~bound:16 tiny
 
 (* one real statement + keys + proof per backend, shared by the suites *)
 let fixture backend strategy seed =
@@ -798,7 +801,11 @@ let raw_connect path =
 let e2e_tests =
   [ Alcotest.test_case "prove/verify round trip, cache hit, byte-identity" `Slow (fun () ->
         let socket = temp_socket "e2e" in
-        let cfg = Server.default_config ~socket_path:socket in
+        let cfg =
+          { (Server.default_config ~socket_path:socket) with Server.observe = true }
+        in
+        let hits0 = counter "serve.cache.hit" and groups0 = counter "serve.batch.groups" in
+        observed @@ fun () ->
         with_server cfg (fun srv ->
             List.iter
               (fun backend ->
@@ -821,15 +828,7 @@ let e2e_tests =
                       check_bool "second prove hits the key cache" true h2;
                       check_bool "same key id" true (id1 = key_id);
                       (* the cache-miss proof must equal the in-process one *)
-                      let rng = Random.State.make [| 5 |] in
-                      let x =
-                        Spec.random_matrix rng ~rows:tiny.Mspec.a ~cols:tiny.Mspec.n
-                          ~bound:256
-                      in
-                      let w =
-                        Spec.random_matrix rng ~rows:tiny.Mspec.n ~cols:tiny.Mspec.b
-                          ~bound:256
-                      in
+                      let rng, x, w = Spec.seeded_statement ~seed:5 ~bound:256 tiny in
                       let local, _ = Api.run ~rng backend Mc.Crpc_psq ~x ~w tiny in
                       let bytes p =
                         match p with
@@ -845,12 +844,24 @@ let e2e_tests =
                               { key_id; public_inputs = io1; proof = p1; deadline_ms = 0 })
                        with
                        | Wire.Verify_ok ok -> check_bool "server verifies" true ok
-                       | _ -> Alcotest.fail "expected Verify_ok")
+                       | _ -> Alcotest.fail "expected Verify_ok");
+                      (* and one served Batch_verify group *)
+                      (match
+                         Client.request_exn c
+                           (Wire.Batch_verify
+                              { key_id; items = [ (io1, p1); (io1, p1) ]; deadline_ms = 0 })
+                       with
+                       | Wire.Batch_ok verdicts ->
+                         check_bool "server batch verifies" true (verdicts = [ true; true ])
+                       | _ -> Alcotest.fail "expected Batch_ok")
                     | _ -> Alcotest.fail "expected Prove_ok"))
               [ Api.Backend_spartan; Api.Backend_groth16 ];
             let s = Server.status srv in
             check_int "two cache hits" 2 s.Wire.cache_hits;
-            check_int "two cache misses" 2 s.Wire.cache_misses));
+            check_int "two cache misses" 2 s.Wire.cache_misses;
+            check_int "serve.cache.hit counts the hits" 2 (counter "serve.cache.hit" - hits0);
+            check_int "serve.batch.groups counts the batches" 2
+              (counter "serve.batch.groups" - groups0)));
     Alcotest.test_case "full queue answers Queue_full, not a crash" `Slow (fun () ->
         let socket = temp_socket "full" in
         let cfg =
@@ -1028,8 +1039,11 @@ let e2e_tests =
       (fun () ->
         let socket = temp_socket "workers4" in
         let cfg =
-          { (Server.default_config ~socket_path:socket) with Server.workers = 4 }
+          { (Server.default_config ~socket_path:socket) with
+            Server.workers = 4;
+            observe = true }
         in
+        observed @@ fun () ->
         with_server cfg (fun srv ->
             let cases =
               [| (Mspec.dims ~a:2 ~n:2 ~b:2, 21);
@@ -1067,22 +1081,32 @@ let e2e_tests =
                 match r with
                 | None -> Alcotest.failf "concurrent prove %d failed" i
                 | Some p ->
-                  let rng = Random.State.make [| seed |] in
-                  let x =
-                    Spec.random_matrix rng ~rows:dims.Mspec.a ~cols:dims.Mspec.n
-                      ~bound:16
-                  in
-                  let w =
-                    Spec.random_matrix rng ~rows:dims.Mspec.n ~cols:dims.Mspec.b
-                      ~bound:16
-                  in
+                  let rng, x, w = Spec.seeded_statement ~seed ~bound:16 dims in
                   let local, _ = Api.run ~rng Api.Backend_spartan Mc.Vanilla ~x ~w dims in
                   check_bool "byte-identical to Api.run" true
                     (Bytes.equal (bytes p) (bytes local)))
               results;
             let s = Server.status srv in
             check_int "all three proves missed the cache" 3 s.Wire.cache_misses;
-            check_int "worker pool size reported" 4 s.Wire.workers));
+            check_int "worker pool size reported" 4 s.Wire.workers;
+            let samples =
+              Client.with_connection socket (fun c ->
+                  match Client.request_exn c Wire.Status_detail with
+                  | Wire.Status_detail_ok { metrics_text; _ } -> (
+                    match Expose.parse metrics_text with
+                    | Ok samples -> samples
+                    | Error msg -> Alcotest.failf "exposition text invalid: %s" msg)
+                  | _ -> Alcotest.fail "expected Status_detail_ok")
+            in
+            let value metric =
+              List.find_map
+                (fun s -> if s.Expose.metric = metric then Some s.Expose.value else None)
+                samples
+            in
+            check_bool "zkvc_serve_workers 4 exposed" true (value "zkvc_serve_workers" = Some 4.);
+            List.iter
+              (fun m -> check_bool (m ^ " exposed") true (value m <> None))
+              [ "zkvc_serve_queue_depth_verify"; "zkvc_serve_queue_depth_prove" ]));
     Alcotest.test_case "shutdown is prompt despite a long metrics interval" `Slow
       (fun () ->
         let socket = temp_socket "promptstop" in
@@ -1252,6 +1276,11 @@ let telemetry_tests =
                   | Wire.Prove_ok _ -> ()
                   | _ -> Alcotest.fail "expected Prove_ok"
                 done;
+                let last_id =
+                  match Client.last_request_id c with
+                  | Some id -> Wire.hex_of_id id
+                  | None -> Alcotest.fail "client kept no request id"
+                in
                 match Client.request_exn c Wire.Status_detail with
                 | Wire.Status_detail_ok { status; metrics_text; flight_jsonl } ->
                   (* three proves plus this status request itself *)
@@ -1259,6 +1288,8 @@ let telemetry_tests =
                   dump := flight_jsonl;
                   let lines = String.split_on_char '\n' (String.trim flight_jsonl) in
                   check_int "ring keeps the last capacity records" 2 (List.length lines);
+                  check_bool "newest record carries the client's request id" true
+                    (contains ~sub:("\"request_id\":\"" ^ last_id ^ "\"") (List.nth lines 1));
                   List.iter
                     (fun l ->
                       check_bool "record is a prove" true (contains ~sub:"\"kind\":\"prove\"" l);
@@ -1297,7 +1328,12 @@ let telemetry_tests =
         (* shutdown (inside with_server's finally) flushed the ring *)
         check_bool "flight file equals the live dump" true (read_file flight_file = !dump);
         (match Expose.parse (read_file metrics_file) with
-         | Ok _ -> ()
+         | Ok samples ->
+           check_bool "final snapshot counts the requests" true
+             (List.exists
+                (fun s ->
+                  s.Expose.metric = "zkvc_serve_requests_total" && s.Expose.value > 0.)
+                samples)
          | Error msg -> Alcotest.failf "metrics snapshot invalid: %s" msg);
         Sys.remove flight_file;
         Sys.remove metrics_file) ]

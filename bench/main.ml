@@ -245,11 +245,6 @@ let scaled_dims d2 =
     ~n:(Stdlib.max 2 (d.Mspec.n / s))
     ~b:(Stdlib.max 2 (d.Mspec.b / s))
 
-let random_instance d =
-  let x = Spec.random_matrix rng ~rows:d.Mspec.a ~cols:d.Mspec.n ~bound:256 in
-  let w = Spec.random_matrix rng ~rows:d.Mspec.n ~cols:d.Mspec.b ~bound:256 in
-  (x, w)
-
 (* ------------------------------------------------------------------ *)
 (* Table I                                                              *)
 
@@ -303,7 +298,7 @@ let run_fig3 () =
        "Figure 3 — matmul proving time, dims %a (paper point: [49,64]x[64,128]%s)"
        Mspec.pp_dims d
        (if !scale = 1 then "" else Printf.sprintf ", scaled 1/%d" !scale));
-  let inst = random_instance d in
+  let inst = Spec.random_statement rng ~bound:256 d in
   let g_vanilla = measure ~section:"fig3" ~scheme:"groth16" Api.Backend_groth16 Mc.Vanilla d inst in
   let g_zkvc = measure ~section:"fig3" ~scheme:"zkVC-G" Api.Backend_groth16 Mc.Crpc_psq d inst in
   let s_vanilla = measure ~section:"fig3" ~scheme:"Spartan" Api.Backend_spartan Mc.Vanilla d inst in
@@ -348,7 +343,7 @@ let run_fig6 () =
   List.iter
     (fun d2 ->
       let d = scaled_dims d2 in
-      let inst = random_instance d in
+      let inst = Spec.random_statement rng ~bound:256 d in
       let rows =
         [ ("groth16", Api.Backend_groth16, Mc.Vanilla);
           ("Spartan", Api.Backend_spartan, Mc.Vanilla);
@@ -379,7 +374,7 @@ let run_tab2 () =
   header
     (Format.asprintf "Table II — CRPC x PSQ ablation, dims %a%s" Mspec.pp_dims d
        (if !scale = 1 then "" else Printf.sprintf " (scaled 1/%d)" !scale));
-  let inst = random_instance d in
+  let inst = Spec.random_statement rng ~bound:256 d in
   tbl "%-6s %-6s | %12s %12s | %12s %12s | %12s %9s\n" "CRPC" "PSQ" "g16-prove(s)"
     "g16-verify" "sp-prove(s)" "sp-verify" "constraints" "nnz(A)";
   let strategies =
@@ -456,7 +451,7 @@ let run_agg () =
       progress "agg: proving %d %s members...\n%!" n_max bname;
       let preps =
         List.init n_max (fun _ ->
-            let x, w = random_instance d in
+            let x, w = Spec.random_statement rng ~bound:256 d in
             Api.prepare strategy ~x ~w d)
       in
       let prep0 = List.hd preps in
@@ -464,11 +459,8 @@ let run_agg () =
       let members =
         List.map
           (fun (prep : Api.prepared) ->
-            let publics =
-              Array.to_list
-                (Array.sub prep.Api.assignment 1 (Api.Cs.num_inputs prep.Api.cs))
-            in
-            (publics, Api.prove_with ~rng keys prep.Api.assignment))
+            ( Api.Cs.public_inputs prep.Api.cs prep.Api.assignment,
+              Api.prove_with ~rng keys prep.Api.assignment ))
           preps
       in
       let stats = Api.Cs.stats prep0.Api.cs in
@@ -701,7 +693,7 @@ let run_ablations () =
   (* 1. PSQ wire density *)
   let d = scaled_dims 128 in
   tbl "[abl-psq] wire statistics at %s:\n" (Format.asprintf "%a" Mspec.pp_dims d);
-  let x, w = random_instance d in
+  let x, w = Spec.random_statement rng ~bound:256 d in
   List.iter
     (fun strategy ->
       let cs, _, _ = Api.build_circuit strategy ~x ~w d in

@@ -143,9 +143,6 @@ let write_proof_file file ~backend ~strategy ~dims ~challenge ~key_id ~public_in
    for [Wire.Seeded] requests *)
 let seeded_statement d seed = Spec.seeded_statement ~seed ~bound:256 d
 
-let public_inputs_of cs assignment =
-  Array.to_list (Array.sub assignment 1 (Api.Cs.num_inputs cs))
-
 (* ---- count ---- *)
 
 let count_cmd =
@@ -210,10 +207,7 @@ let prove_cmd =
     let backend = kf.Wire.kf_backend and optimize = kf.Wire.kf_opt in
     let rng, x, w = seeded_statement d seed in
     let prep = Api.prepare ?optimize strategy ~x ~w d in
-    let key_id =
-      Key_cache.id_of ?opt:optimize backend strategy d ~challenge:prep.Api.challenge
-        prep.Api.cs
-    in
+    let key_id = Key_cache.id_of ?opt:optimize backend strategy d prep in
     if key_id <> kf.Wire.kf_key_id then begin
       Printf.eprintf
         "zkvc_cli: statement key %s does not match the key file's %s\n\
@@ -225,7 +219,7 @@ let prove_cmd =
     end
     else begin
       let proof = Api.prove_with ~rng kf.Wire.kf_keys prep.Api.assignment in
-      let public_inputs = public_inputs_of prep.Api.cs prep.Api.assignment in
+      let public_inputs = Api.Cs.public_inputs prep.Api.cs prep.Api.assignment in
       let ok = Api.verify_with kf.Wire.kf_keys ~public_inputs proof in
       Printf.printf "proved under key %s, verified: %b\n" (Wire.hex_of_id key_id) ok;
       (match out with
@@ -253,29 +247,25 @@ let prove_cmd =
       Obs.Metrics.reset ();
       Obs.Sink.enable ()
     end;
-    let proof, m = Api.run ~rng ?optimize backend strategy ~x ~w d in
+    (* prepared once, under the span [Api.run] gives synthesis: the
+       statement also carries the optimiser report and the --out
+       descriptor *)
+    let prep =
+      Obs.Span.with_span "zkvc.build_circuit" (fun () -> Api.prepare ?optimize strategy ~x ~w d)
+    in
+    let proof, m = Api.run_prepared ~rng backend strategy d prep in
     if observing then Obs.Sink.disable ();
     Format.printf "%a@." Api.pp_measurement m;
-    (* the statement descriptor for --out, also carrying the optimiser
-       report (prepare is deterministic in x,w) *)
-    let prep =
-      if out <> None || optimize <> None then Some (Api.prepare ?optimize strategy ~x ~w d)
-      else None
-    in
-    (match prep with
-     | Some { Api.opt = Some { Api.opt_report; _ }; _ } ->
-       Format.printf "%a@." Api.Opt.pp_report opt_report
-     | _ -> ());
-    (match (out, prep) with
-     | Some file, Some prep ->
-       let key_id =
-         Key_cache.id_of ?opt:optimize backend strategy d ~challenge:prep.Api.challenge
-           prep.Api.cs
-       in
+    (match prep.Api.opt with
+     | Some { Api.opt_report; _ } -> Format.printf "%a@." Api.Opt.pp_report opt_report
+     | None -> ());
+    (match out with
+     | Some file ->
+       let key_id = Key_cache.id_of ?opt:optimize backend strategy d prep in
        write_proof_file file ~backend ~strategy ~dims:d ~challenge:prep.Api.challenge
-         ~key_id ~public_inputs:(public_inputs_of prep.Api.cs prep.Api.assignment) proof;
+         ~key_id ~public_inputs:(Api.Cs.public_inputs prep.Api.cs prep.Api.assignment) proof;
        Printf.printf "proof file: %s (key %s)\n" file (Wire.hex_of_id key_id)
-     | _ -> ());
+     | None -> ());
     (match trace with
      | Some file ->
        (try
@@ -472,7 +462,7 @@ let profile_cmd =
      | Some r -> Format.printf "%a@.@." Api.Opt.pp_report r
      | None -> ());
     let stats = Api.Cs.stats cs in
-    let public_inputs = public_inputs_of cs assignment in
+    let public_inputs = Api.Cs.public_inputs cs assignment in
     let t0 = Obs.Span.now () in
     let keys = Api.keygen ~rng backend cs in
     let t1 = Obs.Span.now () in
@@ -582,21 +572,12 @@ let keygen_cmd =
     (match prep.Api.opt with
      | Some { Api.opt_report; _ } -> Format.printf "%a@." Api.Opt.pp_report opt_report
      | None -> ());
-    let keys = Api.keygen ~rng backend prep.Api.cs in
-    let key_id =
-      Key_cache.id_of ?opt:optimize backend strategy d ~challenge:prep.Api.challenge
-        prep.Api.cs
+    let kf =
+      Key_cache.key_file ?opt:optimize backend strategy d prep
+        (Api.keygen ~rng backend prep.Api.cs)
     in
-    write_file out
-      (Wire.encode_key_file
-         { Wire.kf_backend = backend;
-           kf_strategy = strategy;
-           kf_dims = d;
-           kf_challenge = prep.Api.challenge;
-           kf_opt = optimize;
-           kf_key_id = key_id;
-           kf_keys = keys });
-    Printf.printf "key file: %s (key %s)\n" out (Wire.hex_of_id key_id);
+    write_file out (Wire.encode_key_file kf);
+    Printf.printf "key file: %s (key %s)\n" out (Wire.hex_of_id kf.Wire.kf_key_id);
     0
   in
   let doc =
@@ -859,12 +840,6 @@ let serve_cmd =
     Arg.(value & flag
          & info [ "metrics" ] ~doc:"Print serve.* and prover metrics on shutdown.")
   in
-  let job_delay_arg =
-    Arg.(value & opt float 0.
-         & info [ "job-delay" ] ~docv:"SECONDS"
-             ~doc:"Testing hook: sleep before each job to make queue-full and \
-                   deadline behaviour deterministic.")
-  in
   let metrics_file_arg =
     Arg.(value & opt (some string) None
          & info [ "metrics-file" ] ~docv:"PATH"
@@ -890,18 +865,16 @@ let serve_cmd =
              ~doc:"Dump the flight recorder (JSON lines) here when the worker \
                    drains or crashes.")
   in
-  let run socket queue cache cache_dir workers jobs trace metrics job_delay
-      metrics_file metrics_interval flight flight_file optimize =
+  let run socket queue cache cache_dir workers jobs trace metrics metrics_file
+      metrics_interval flight flight_file optimize =
     let cfg =
-      { Server.socket_path = socket;
-        queue_capacity = queue;
+      { (Server.default_config ~socket_path:socket) with
+        Server.queue_capacity = queue;
         cache_capacity = cache;
         cache_dir;
         workers;
         jobs;
-        job_delay_s = job_delay;
         observe = trace <> None || metrics || metrics_file <> None;
-        clock = None;
         metrics_file;
         metrics_interval_s = metrics_interval;
         flight_capacity = flight;
@@ -937,9 +910,8 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(const run $ socket_arg $ queue_arg $ cache_arg $ cache_dir_arg
-          $ workers_arg $ jobs_arg $ trace_arg $ metrics_arg $ job_delay_arg
-          $ metrics_file_arg $ metrics_interval_arg $ flight_arg $ flight_file_arg
-          $ optimize_arg)
+          $ workers_arg $ jobs_arg $ trace_arg $ metrics_arg $ metrics_file_arg
+          $ metrics_interval_arg $ flight_arg $ flight_file_arg $ optimize_arg)
 
 (* ---- client ---- *)
 

@@ -69,14 +69,11 @@ let stream t salt = Random.State.make [| t.seed; salt |]
 let make_fixture ?optimize t =
   let rng = stream t 0 in
   let d = t.dims in
-  let x = Spec.random_matrix rng ~rows:d.Mspec.a ~cols:d.Mspec.n ~bound:256 in
-  let w = Spec.random_matrix rng ~rows:d.Mspec.n ~cols:d.Mspec.b ~bound:256 in
+  let x, w = Spec.random_statement rng ~bound:256 d in
   let prep = Api.prepare ?optimize t.strategy ~x ~w d in
   let keys = Api.keygen ~rng t.backend prep.Api.cs in
   let proof = Api.prove_with ~rng keys prep.Api.assignment in
-  let public_inputs =
-    Array.to_list (Array.sub prep.Api.assignment 1 (Api.Cs.num_inputs prep.Api.cs))
-  in
+  let public_inputs = Api.Cs.public_inputs prep.Api.cs prep.Api.assignment in
   { t; opt = optimize; x; w; prep; keys; proof; public_inputs }
 
 let verify_fixture fx proof = Api.verify_with fx.keys ~public_inputs:fx.public_inputs proof
@@ -132,8 +129,7 @@ let groth16_cases col fx p =
   if not (Mc.uses_challenge fx.t.strategy) then begin
     let rng = stream fx.t 2 in
     let d = fx.t.dims in
-    let x2 = Spec.random_matrix rng ~rows:d.Mspec.a ~cols:d.Mspec.n ~bound:256 in
-    let w2 = Spec.random_matrix rng ~rows:d.Mspec.n ~cols:d.Mspec.b ~bound:256 in
+    let x2, w2 = Spec.random_statement rng ~bound:256 d in
     let prep2 = Api.prepare ?optimize:fx.opt fx.t.strategy ~x:x2 ~w:w2 d in
     let q =
       match Api.prove_with ~rng fx.keys prep2.Api.assignment with
@@ -163,8 +159,7 @@ let spartan_cases col fx p =
   if not (Mc.uses_challenge fx.t.strategy) then begin
     let rng = stream fx.t 2 in
     let d = fx.t.dims in
-    let x2 = Spec.random_matrix rng ~rows:d.Mspec.a ~cols:d.Mspec.n ~bound:256 in
-    let w2 = Spec.random_matrix rng ~rows:d.Mspec.n ~cols:d.Mspec.b ~bound:256 in
+    let x2, w2 = Spec.random_statement rng ~bound:256 d in
     let prep2 = Api.prepare ?optimize:fx.opt fx.t.strategy ~x:x2 ~w:w2 d in
     let q = Api.prove_with ~rng fx.keys prep2.Api.assignment in
     emit col "spartan.splice" "transplant" (fun () ->
@@ -204,7 +199,7 @@ let witness_cases col fx =
   emit col "witness" (Printf.sprintf "y[%d,%d]+1" i j) (fun () ->
       let idx = 1 + (i * d.Mspec.b) + j in
       let asg = bump_assignment fx.prep.Api.assignment idx in
-      let publics = Array.to_list (Array.sub asg 1 num_inputs) in
+      let publics = Api.Cs.public_inputs fx.prep.Api.cs asg in
       let proof = Api.prove_with ~rng:(stream fx.t 5) fx.keys asg in
       (verdict (Api.verify_with fx.keys ~public_inputs:publics proof), ""));
   (* one corrupted internal wire (the prefix-sum link s_k for the PSQ
@@ -251,7 +246,7 @@ let crpc_statement backend strategy ~challenge ~x ~w ~forged_y d ~rng =
   let cs, asg = Bld.finalize b in
   let keys = Api.keygen ~rng backend cs in
   let proof = Api.prove_with ~rng keys asg in
-  let publics = Array.to_list (Array.sub asg 1 (Api.Cs.num_inputs cs)) in
+  let publics = Api.Cs.public_inputs cs asg in
   (keys, proof, publics)
 
 let crpc_cases col fx =
@@ -292,8 +287,7 @@ let crpc_cases col fx =
         match fx.prep.Api.challenge with Some z -> z | None -> assert false
       in
       let rng = stream fx.t 7 in
-      let x2 = Spec.random_matrix rng ~rows:d.Mspec.a ~cols:d.Mspec.n ~bound:256 in
-      let w2 = Spec.random_matrix rng ~rows:d.Mspec.n ~cols:d.Mspec.b ~bound:256 in
+      let x2, w2 = Spec.random_statement rng ~bound:256 d in
       let y2 = Spec.multiply x2 w2 in
       let keys, proof, publics =
         crpc_statement fx.t.backend fx.t.strategy ~challenge:z1 ~x:x2 ~w:w2
@@ -362,13 +356,10 @@ let batch_members fx n =
       else if Mc.uses_challenge fx.t.strategy then
         (fx.public_inputs, Api.prove_with ~rng fx.keys fx.prep.Api.assignment)
       else begin
-        let x = Spec.random_matrix rng ~rows:d.Mspec.a ~cols:d.Mspec.n ~bound:256 in
-        let w = Spec.random_matrix rng ~rows:d.Mspec.n ~cols:d.Mspec.b ~bound:256 in
+        let x, w = Spec.random_statement rng ~bound:256 d in
         let prep = Api.prepare ?optimize:fx.opt fx.t.strategy ~x ~w d in
-        let publics =
-          Array.to_list (Array.sub prep.Api.assignment 1 (Api.Cs.num_inputs prep.Api.cs))
-        in
-        (publics, Api.prove_with ~rng fx.keys prep.Api.assignment)
+        ( Api.Cs.public_inputs prep.Api.cs prep.Api.assignment,
+          Api.prove_with ~rng fx.keys prep.Api.assignment )
       end)
 
 let replace_nth l k v = List.mapi (fun i x -> if i = k then v else x) l
@@ -485,8 +476,7 @@ let aggregate_cases col fx =
          typed decode error, a key-id mismatch, or a false verdict *)
       emit col "aggregate" "file-bitflip" (fun () ->
           let key_id =
-            Key_cache.id_of ?opt:fx.opt fx.t.backend fx.t.strategy fx.t.dims
-              ~challenge:fx.prep.Api.challenge fx.prep.Api.cs
+            Key_cache.id_of ?opt:fx.opt fx.t.backend fx.t.strategy fx.t.dims fx.prep
           in
           let af =
             { Wire.af_key_id = key_id; af_statements = ios; af_proof = agg }
@@ -516,10 +506,10 @@ let aggregate_cases col fx =
 
 let wire_cases col fx =
   let challenge = fx.prep.Api.challenge in
-  let key_id =
-    Key_cache.id_of ?opt:fx.opt fx.t.backend fx.t.strategy fx.t.dims ~challenge
-      fx.prep.Api.cs
+  let kf =
+    Key_cache.key_file ?opt:fx.opt fx.t.backend fx.t.strategy fx.t.dims fx.prep fx.keys
   in
+  let key_id = kf.Wire.kf_key_id in
   let descriptor_matches ~backend ~strategy ~dims ~challenge:ch =
     backend = fx.t.backend && strategy = fx.t.strategy && dims = fx.t.dims
     && (match (ch, challenge) with
@@ -555,15 +545,6 @@ let wire_cases col fx =
             then `Accept
             else `Reject));
   emit col "wire" "key-file-bitflip" (fun () ->
-      let kf =
-        { Wire.kf_backend = fx.t.backend;
-          kf_strategy = fx.t.strategy;
-          kf_dims = fx.t.dims;
-          kf_challenge = challenge;
-          kf_opt = fx.opt;
-          kf_key_id = key_id;
-          kf_keys = fx.keys }
-      in
       let bytes = Wire.encode_key_file kf in
       (* a tampered proof must stay rejected whatever survives decoding:
          a flip that only hits the proving-key half leaves verification

@@ -185,21 +185,17 @@ let proof_size = function
   | Groth16_proof p -> Groth16.proof_size_bytes p
   | Spartan_proof p -> Spartan.proof_size_bytes p
 
-(** Prove + verify once, returning the proof and a full measurement row.
+(** Keygen, prove and verify a prepared statement once, returning the
+    proof and a full measurement row.
     The Groth16 setup time is reported separately and — like the paper —
     excluded from proving time. Verification failure is data
     ([measurement.verified]), not an exception: the adversary harness
     and the bench observe rejection without catching anything. *)
-let run ?(rng = default_rng ()) ?optimize backend strategy ~x ~w d =
+let run_prepared ?(rng = default_rng ()) backend strategy d prep =
   let gc0 = Gc.quick_stat () in
-  let prep, _build_time =
-    timed "zkvc.build_circuit" (fun () -> prepare ?optimize strategy ~x ~w d)
-  in
   let cs = prep.cs in
   let stats = Cs.stats cs in
-  let public_inputs =
-    Array.to_list (Array.sub prep.assignment 1 (Cs.num_inputs cs))
-  in
+  let public_inputs = Cs.public_inputs cs prep.assignment in
   let name = backend_name backend in
   let keys, t_setup = timed (name ^ ".keygen") (fun () -> keygen ~rng backend cs) in
   let proof, t_prove =
@@ -227,6 +223,12 @@ let run ?(rng = default_rng ()) ?optimize backend strategy ~x ~w d =
       major_collections = gc1.Gc.major_collections - gc0.Gc.major_collections;
       timings;
       regions = Obs.Attrib.with_prove_share ~prove_s:t_prove prep.regions } )
+
+let run ?rng ?optimize backend strategy ~x ~w d =
+  let prep =
+    Obs.Span.with_span "zkvc.build_circuit" (fun () -> prepare ?optimize strategy ~x ~w d)
+  in
+  run_prepared ?rng backend strategy d prep
 
 let pp_measurement fmt m =
   Format.fprintf fmt

@@ -23,9 +23,9 @@ type timings = { setup_s : float; prove_s : float; verify_s : float }
     private witness length ([num_aux]). [verified] is the outcome of the
     verification pass — honest runs always produce [true]; the adversary
     harness proves from corrupted witnesses and reads rejection here.
-    [top_heap_words] is the GC's peak
-    heap at the end of the run and [major_collections] the number of major
-    GC cycles the run triggered — both measurement noise, never compared
+    [top_heap_words] is the GC's peak heap at the end of the run and
+    [major_collections] the number of major GC cycles its keygen, prove
+    and verify triggered — both measurement noise, never compared
     exactly across runs. *)
 type measurement =
   { strategy : Matmul_circuit.strategy;
@@ -130,7 +130,8 @@ val proof_size : proof -> int
     the paper — excluded from proving time. Does not raise on a failed
     verification: the outcome is returned in [measurement.verified] so
     callers (bench, adversary harness) observe rejection as data. The
-    CLI turns [verified = false] into a non-zero exit code. *)
+    CLI turns [verified = false] into a non-zero exit code. Synthesis
+    runs under a [zkvc.build_circuit] span. *)
 val run :
   ?rng:Random.State.t ->
   ?optimize:Opt.config ->
@@ -139,6 +140,16 @@ val run :
   x:Fr.t array array ->
   w:Fr.t array array ->
   Matmul_spec.dims ->
+  proof * measurement
+
+(** {!run} on a statement already {!prepare}d for [strategy] at [dims]:
+    keygen, prove and verify, with the same measurement row. *)
+val run_prepared :
+  ?rng:Random.State.t ->
+  backend ->
+  Matmul_circuit.strategy ->
+  Matmul_spec.dims ->
+  prepared ->
   proof * measurement
 
 val pp_measurement : Format.formatter -> measurement -> unit

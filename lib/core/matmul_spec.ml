@@ -18,10 +18,14 @@ module Make (F : Zkvc_field.Field_intf.S) = struct
     Array.init rows (fun _ ->
         Array.init cols (fun _ -> F.of_int (Random.State.int st bound)))
 
-  let seeded_statement ~seed ~bound d =
-    let rng = Random.State.make [| seed |] in
+  let random_statement rng ~bound d =
     let x = random_matrix rng ~rows:d.a ~cols:d.n ~bound in
     let w = random_matrix rng ~rows:d.n ~cols:d.b ~bound in
+    (x, w)
+
+  let seeded_statement ~seed ~bound d =
+    let rng = Random.State.make [| seed |] in
+    let x, w = random_statement rng ~bound d in
     (rng, x, w)
 
   let multiply x w =

@@ -15,8 +15,13 @@ val vit_embedding : dim2:int -> dims
 module Make (F : Zkvc_field.Field_intf.S) : sig
   val random_matrix : Random.State.t -> rows:int -> cols:int -> bound:int -> F.t array array
 
+  (** [random_statement rng ~bound d] draws X (a×n), then W (n×b), from
+      [rng], with entries below [bound]. *)
+  val random_statement :
+    Random.State.t -> bound:int -> dims -> F.t array array * F.t array array
+
   (** The seeded statement the CLI and the proof service prove: a fresh
-      [rng] from [seed] draws X, then W, with entries below [bound].
+      [rng] from [seed] makes the draws of {!random_statement}.
       The same [rng] then feeds keygen and prove, so a given seed yields
       byte-identical proofs wherever it is proved. *)
   val seeded_statement :

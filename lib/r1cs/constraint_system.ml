@@ -22,6 +22,8 @@ module Make (F : Zkvc_field.Field_intf.S) = struct
   let num_inputs t = t.num_inputs
   let num_aux t = t.num_aux
 
+  let public_inputs t assignment = Array.to_list (Array.sub assignment 1 t.num_inputs)
+
   exception Unsatisfied of int * string
 
   (** Checks every constraint; raises {!Unsatisfied} with the index and

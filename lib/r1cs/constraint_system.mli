@@ -22,6 +22,10 @@ module Make (F : Zkvc_field.Field_intf.S) : sig
   val num_inputs : t -> int
   val num_aux : t -> int
 
+  (** The public-input slice [z.(1) .. z.(num_inputs)] of an assignment:
+      what a verifier is given beside the proof. *)
+  val public_inputs : t -> F.t array -> F.t list
+
   exception Unsatisfied of int * string
 
   (** Checks every constraint; raises {!Unsatisfied} with the index and

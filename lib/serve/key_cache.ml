@@ -5,19 +5,10 @@ module Mc = Zkvc.Matmul_circuit
 module Mspec = Zkvc.Matmul_spec
 module Sha256 = Zkvc_hash.Sha256
 
-type entry =
-  { id : string;
-    backend : Api.backend;
-    strategy : Mc.strategy;
-    dims : Mspec.dims;
-    challenge : Fr.t option;
-    opt : Api.Opt.config option;
-    keys : Api.keys }
-
 type t =
   { capacity : int;
     dir : string option;
-    mutable entries : entry list; (* most recently used first *)
+    mutable entries : Wire.key_file list; (* most recently used first *)
     lock : Mutex.t;
     (* per-key single-flight: ids whose keygen (or disk load) is running
        right now. A second worker missing on the same id blocks on
@@ -38,21 +29,20 @@ let create ?(capacity = default_capacity) ?dir () =
     inflight = Hashtbl.create 4;
     flight_done = Condition.create () }
 
-let capacity t = t.capacity
-
 let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
 let length t = with_lock t (fun () -> List.length t.entries)
 
-let ids t = with_lock t (fun () -> List.map (fun e -> e.id) t.entries)
+let ids t = with_lock t (fun () -> List.map (fun e -> e.Wire.kf_key_id) t.entries)
 
 (* The id digests everything the keys depend on. The constraint system is
    folded term by term (wire index + canonical coefficient bytes), so any
    coefficient difference — e.g. a different CRPC challenge — yields a
    different id. *)
-let id_of ?opt backend strategy dims ~challenge (cs : Cs.t) =
+let id_of ?opt backend strategy dims (prep : Api.prepared) =
+  let cs = prep.Api.cs in
   let ctx = Sha256.init () in
   let u32 n =
     let b = Bytes.create 4 in
@@ -74,7 +64,7 @@ let id_of ?opt backend strategy dims ~challenge (cs : Cs.t) =
   u32 dims.Mspec.a;
   u32 dims.Mspec.n;
   u32 dims.Mspec.b;
-  (match challenge with
+  (match prep.Api.challenge with
    | None -> Sha256.update_string ctx "_"
    | Some z -> Sha256.update ctx (Fr.to_bytes z));
   (* the optimiser config, so optimised and unoptimised keys can never
@@ -101,6 +91,19 @@ let id_of ?opt backend strategy dims ~challenge (cs : Cs.t) =
     cs.Cs.constraints;
   Bytes.to_string (Sha256.finalize ctx)
 
+(* the record [key_file] builds, for a caller that already holds the id *)
+let with_id id ?opt backend strategy dims (prep : Api.prepared) keys =
+  { Wire.kf_backend = backend;
+    kf_strategy = strategy;
+    kf_dims = dims;
+    kf_challenge = prep.Api.challenge;
+    kf_opt = opt;
+    kf_key_id = id;
+    kf_keys = keys }
+
+let key_file ?opt backend strategy dims prep keys =
+  with_id (id_of ?opt backend strategy dims prep) ?opt backend strategy dims prep keys
+
 let spill_path t id =
   Option.map (fun d -> Filename.concat d (Wire.hex_of_id id ^ ".zkvk")) t.dir
 
@@ -119,43 +122,24 @@ let read_file path =
   close_in ic;
   b
 
-let spill t (e : entry) =
-  match spill_path t e.id with
-  | None -> ()
-  | Some path ->
-    if not (Sys.file_exists path) then
-      write_file path
-        (Wire.encode_key_file
-           { Wire.kf_backend = e.backend;
-             kf_strategy = e.strategy;
-             kf_dims = e.dims;
-             kf_challenge = e.challenge;
-             kf_opt = e.opt;
-             kf_key_id = e.id;
-             kf_keys = e.keys })
+let spill t (kf : Wire.key_file) =
+  match spill_path t kf.Wire.kf_key_id with
+  | Some path when not (Sys.file_exists path) -> write_file path (Wire.encode_key_file kf)
+  | Some _ | None -> ()
 
 let load_from_disk t id =
   match spill_path t id with
-  | None -> None
-  | Some path ->
-    if not (Sys.file_exists path) then None
-    else (
-      match Wire.decode_key_file (read_file path) with
-      | Ok kf when kf.Wire.kf_key_id = id ->
-        Some
-          { id;
-            backend = kf.Wire.kf_backend;
-            strategy = kf.kf_strategy;
-            dims = kf.kf_dims;
-            challenge = kf.kf_challenge;
-            opt = kf.kf_opt;
-            keys = kf.kf_keys }
-      | Ok _ | Error _ -> None
-      | exception Sys_error _ -> None)
+  | Some path when Sys.file_exists path -> (
+    match Wire.decode_key_file (read_file path) with
+    | Ok kf when kf.Wire.kf_key_id = id -> Some kf
+    | Ok _ | Error _ -> None
+    | exception Sys_error _ -> None)
+  | Some _ | None -> None
 
 (* assumes the lock is held *)
 let insert_locked t e =
-  t.entries <- e :: List.filter (fun e' -> e'.id <> e.id) t.entries;
+  let id = e.Wire.kf_key_id in
+  t.entries <- e :: List.filter (fun e' -> e'.Wire.kf_key_id <> id) t.entries;
   let rec trim n = function
     | [] -> []
     | _ :: _ when n = 0 -> []
@@ -164,15 +148,15 @@ let insert_locked t e =
   t.entries <- trim t.capacity t.entries
 
 let promote_locked t id =
-  match List.partition (fun e -> e.id = id) t.entries with
+  match List.partition (fun e -> e.Wire.kf_key_id = id) t.entries with
   | [ e ], rest ->
     t.entries <- e :: rest;
     Some e
   | _ -> None
 
 (* Make (or load) the entry for [id], with this caller owning the
-   single-flight slot for it. Runs [make]/disk IO outside the lock. *)
-let fill_inflight t id backend strategy dims ~challenge ~opt ~make =
+   single-flight slot for it. Runs [fresh]/disk IO outside the lock. *)
+let fill_inflight t id ~fresh =
   let settle result =
     Mutex.lock t.lock;
     (match result with Some e -> insert_locked t e | None -> ());
@@ -184,8 +168,7 @@ let fill_inflight t id backend strategy dims ~challenge ~opt ~make =
     match load_from_disk t id with
     | Some e -> (e, `Hit_disk)
     | None ->
-      let keys = make () in
-      let e = { id; backend; strategy; dims; challenge; opt; keys } in
+      let e = fresh () in
       spill t e;
       (e, `Miss)
   with
@@ -198,8 +181,8 @@ let fill_inflight t id backend strategy dims ~challenge ~opt ~make =
     settle None;
     raise ex
 
-let find_or_add ?opt t backend strategy dims ~challenge ~cs ~make =
-  let id = id_of ?opt backend strategy dims ~challenge cs in
+let find_or_add ?opt t backend strategy dims prep ~make =
+  let id = id_of ?opt backend strategy dims prep in
   Mutex.lock t.lock;
   let rec get () =
     match promote_locked t id with
@@ -216,7 +199,8 @@ let find_or_add ?opt t backend strategy dims ~challenge ~cs ~make =
       else begin
         Hashtbl.add t.inflight id ();
         Mutex.unlock t.lock;
-        fill_inflight t id backend strategy dims ~challenge ~opt ~make
+        fill_inflight t id ~fresh:(fun () ->
+            with_id id ?opt backend strategy dims prep (make ()))
       end
   in
   get ()
@@ -230,7 +214,3 @@ let find_by_id t id =
       with_lock t (fun () -> insert_locked t e);
       Some e
     | None -> None)
-
-let add t e =
-  spill t e;
-  with_lock t (fun () -> insert_locked t e)

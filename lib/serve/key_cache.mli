@@ -6,23 +6,12 @@
     their coefficients, so two proves with different statements get
     different ids and never share keys unsoundly.
 
-    The in-memory side is a small LRU (default {!default_capacity}
-    entries); when a spill directory is configured every generated key is
-    also written as a {!Wire.key_file} and evicted entries can be
-    reloaded from disk without re-running setup. *)
+    The cache holds {!Wire.key_file} records in a small in-memory LRU
+    (default {!default_capacity} entries); when a spill directory is
+    configured every generated key file is also written there, and
+    evicted entries reload from disk without re-running setup. *)
 
-module Fr = Zkvc_field.Fr
 module Api = Zkvc.Api
-
-type entry =
-  { id : string;  (** 32 raw bytes *)
-    backend : Api.backend;
-    strategy : Zkvc.Matmul_circuit.strategy;
-    dims : Zkvc.Matmul_spec.dims;
-    challenge : Fr.t option;
-    opt : Api.Opt.config option;
-        (** optimiser config the keys were generated against *)
-    keys : Api.keys }
 
 type t
 
@@ -32,31 +21,41 @@ val default_capacity : int
     spill (created if missing). *)
 val create : ?capacity:int -> ?dir:string -> unit -> t
 
-val capacity : t -> int
-
 (** Number of in-memory entries. *)
 val length : t -> int
 
 (** In-memory ids, most recently used first (for tests). *)
 val ids : t -> string list
 
-(** Deterministic cache id of a circuit/backend pair. The optimiser
-    config ([?opt]) is absorbed into the digest alongside the (already
-    optimised) constraint system, so optimised and unoptimised keys can
-    never collide. *)
+(** Deterministic cache id of a prepared statement under a backend: its
+    strategy, dims and Fiat–Shamir challenge, the optimiser config
+    ([?opt]) and the full (already optimised) constraint system, so
+    optimised and unoptimised keys can never collide. *)
 val id_of :
   ?opt:Api.Opt.config ->
   Api.backend ->
   Zkvc.Matmul_circuit.strategy ->
   Zkvc.Matmul_spec.dims ->
-  challenge:Fr.t option ->
-  Api.Cs.t ->
+  Api.prepared ->
   string
 
-(** [find_or_add t backend strategy dims ~challenge ~cs ~make] returns
-    the cached entry for this circuit, loading it from disk or running
-    [make] (which must produce keys for [cs]) on a miss. The entry is
-    promoted to most-recently-used; an insertion past capacity evicts
+(** [key_file ?opt backend strategy dims prep keys] is the key file of
+    [prep]'s circuit under [keys], named by {!id_of}. [prep] must have
+    been prepared for [strategy] at [dims] (with [?opt] as its
+    optimiser config). *)
+val key_file :
+  ?opt:Api.Opt.config ->
+  Api.backend ->
+  Zkvc.Matmul_circuit.strategy ->
+  Zkvc.Matmul_spec.dims ->
+  Api.prepared ->
+  Api.keys ->
+  Wire.key_file
+
+(** [find_or_add t backend strategy dims prep ~make] returns the cached
+    key file for [prep]'s circuit, loading it from disk or running
+    [make] (which must produce keys for [prep.cs]) on a miss. The entry
+    is promoted to most-recently-used; an insertion past capacity evicts
     the least recently used entry (still on disk if spill is on).
 
     Thread-safe with per-key single-flight: when several workers miss on
@@ -70,14 +69,9 @@ val find_or_add :
   Api.backend ->
   Zkvc.Matmul_circuit.strategy ->
   Zkvc.Matmul_spec.dims ->
-  challenge:Fr.t option ->
-  cs:Api.Cs.t ->
+  Api.prepared ->
   make:(unit -> Api.keys) ->
-  entry * [ `Hit_mem | `Hit_disk | `Miss ]
+  Wire.key_file * [ `Hit_mem | `Hit_disk | `Miss ]
 
 (** Lookup by raw id (memory, then disk). Used by verify requests. *)
-val find_by_id : t -> string -> entry option
-
-(** Insert an externally produced entry (promotes + spills like a miss).
-    Used when a client uploads a key file. *)
-val add : t -> entry -> unit
+val find_by_id : t -> string -> Wire.key_file option

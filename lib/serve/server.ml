@@ -151,6 +151,7 @@ type t =
     stopping : bool Atomic.t;
     live_workers : int Atomic.t; (* workers that have not exited yet *)
     busy_workers : int Atomic.t; (* workers executing a job right now *)
+    sink_was_enabled : bool; (* the obs sink's state before [start] *)
     mutable is_drained : bool;
     drain_lock : Mutex.t;
     drain_cond : Condition.t;
@@ -312,9 +313,8 @@ let prepared_keys t backend strategy dims input ~deadline =
     Span.with_span "serve.prepare" (fun () -> Api.prepare ?optimize strategy ~x ~w dims)
   in
   check_deadline deadline;
-  let entry, hit =
-    Key_cache.find_or_add ?opt:optimize t.cache backend strategy dims
-      ~challenge:prep.Api.challenge ~cs:prep.Api.cs
+  let kf, hit =
+    Key_cache.find_or_add ?opt:optimize t.cache backend strategy dims prep
       ~make:(fun () ->
         Span.with_span "serve.keygen" (fun () -> Api.keygen ~rng backend prep.Api.cs))
   in
@@ -326,26 +326,14 @@ let prepared_keys t backend strategy dims input ~deadline =
      Atomic.incr t.cache_misses;
      Metrics.incr m_cache_miss);
   check_deadline deadline;
-  (rng, prep, entry, hit <> `Miss)
-
-let public_inputs_of prep =
-  Array.to_list (Array.sub prep.Api.assignment 1 (Cs.num_inputs prep.Api.cs))
+  (rng, prep, kf, hit <> `Miss)
 
 let process_keygen t ~backend ~strategy ~dims ~seed ~bound ~deadline =
-  let _rng, prep, entry, cache_hit =
+  let _rng, _prep, kf, cache_hit =
     prepared_keys t backend strategy dims (Wire.Seeded { seed; bound }) ~deadline
   in
-  let key_bytes =
-    Wire.encode_key_file
-      { Wire.kf_backend = backend;
-        kf_strategy = strategy;
-        kf_dims = dims;
-        kf_challenge = prep.Api.challenge;
-        kf_opt = entry.Key_cache.opt;
-        kf_key_id = entry.Key_cache.id;
-        kf_keys = entry.Key_cache.keys }
-  in
-  Wire.Keygen_ok { key_id = entry.Key_cache.id; cache_hit; key_bytes }
+  Wire.Keygen_ok
+    { key_id = kf.Wire.kf_key_id; cache_hit; key_bytes = Wire.encode_key_file kf }
 
 (* The [n] hottest constraint regions of a prepared instance, rendered
    "path(count)" and comma-joined — the provenance breadcrumb attached
@@ -359,20 +347,20 @@ let hot_regions_of ?n prep =
       (List.map (fun (path, c) -> Printf.sprintf "%s(%d)" path c) tops)
 
 let process_prove t ~backend ~strategy ~dims ~input ~deadline ~hot =
-  let rng, prep, entry, cache_hit = prepared_keys t backend strategy dims input ~deadline in
+  let rng, prep, kf, cache_hit = prepared_keys t backend strategy dims input ~deadline in
   let hot_s = hot_regions_of prep in
   hot := hot_s;
   let t0 = Span.now () in
   let proof =
     Span.with_span ~args:[ ("hot_regions", hot_s) ] "serve.prove" (fun () ->
-        Api.prove_with ~rng entry.Key_cache.keys prep.Api.assignment)
+        Api.prove_with ~rng kf.Wire.kf_keys prep.Api.assignment)
   in
   check_deadline deadline;
   Wire.Prove_ok
-    { key_id = entry.Key_cache.id;
+    { key_id = kf.Wire.kf_key_id;
       cache_hit;
       challenge = prep.Api.challenge;
-      public_inputs = public_inputs_of prep;
+      public_inputs = Cs.public_inputs prep.Api.cs prep.Api.assignment;
       proof;
       prove_s = Span.now () -. t0 }
 
@@ -395,10 +383,10 @@ let execute t job ~args ~hot ~note =
     | Wire.Verify { key_id; public_inputs; proof; deadline_ms = _ } -> (
       match Key_cache.find_by_id t.cache key_id with
       | None -> unknown_key_error
-      | Some entry ->
+      | Some kf ->
         let ok =
           Span.with_span ~args "serve.request.verify" (fun () ->
-              match Api.verify_with entry.Key_cache.keys ~public_inputs proof with
+              match Api.verify_with kf.Wire.kf_keys ~public_inputs proof with
               | ok -> ok
               | exception Invalid_argument _ -> false)
         in
@@ -411,10 +399,10 @@ let execute t job ~args ~hot ~note =
       else
         match Key_cache.find_by_id t.cache key_id with
         | None -> unknown_key_error
-        | Some entry ->
+        | Some kf ->
           let outcome =
             Span.with_span ~args "serve.request.batch_verify" (fun () ->
-                Batch.verify_each entry.Key_cache.keys items)
+                Batch.verify_each kf.Wire.kf_keys items)
           in
           note := Some (note_batch_outcome t ~n:(List.length items) outcome);
           Wire.Batch_ok outcome.Batch.verdicts)
@@ -521,7 +509,8 @@ let worker_body t ~wid =
 
 (* The finally block runs on normal drain AND when a worker dies on an
    unexpected exception. The last worker out flushes the flight ring
-   and a final metrics snapshot, then releases shutdown waiters — by
+   and a final metrics snapshot, gives the obs sink back the state
+   [start] found, then releases shutdown waiters — by
    then every job has been answered, since each worker finishes its own
    job before exiting. *)
 let worker_loop t ~wid =
@@ -530,6 +519,7 @@ let worker_loop t ~wid =
       if Atomic.fetch_and_add t.live_workers (-1) = 1 then begin
         flush_flight t;
         write_metrics_snapshot t;
+        if not t.sink_was_enabled then Sink.disable ();
         Mutex.lock t.drain_lock;
         t.is_drained <- true;
         Condition.broadcast t.drain_cond;
@@ -700,6 +690,7 @@ let start cfg =
   Span.set_context (fun () -> Thread.id (Thread.self ()));
   (* metrics exposition is pointless with the sink off, so a metrics
      file implies observation *)
+  let sink_was_enabled = Sink.is_enabled () in
   if cfg.observe || cfg.metrics_file <> None then Sink.enable ();
   if cfg.jobs > 0 then Zkvc_parallel.set_jobs cfg.jobs;
   if Sys.file_exists cfg.socket_path then Sys.remove cfg.socket_path;
@@ -726,6 +717,7 @@ let start cfg =
       stopping = Atomic.make false;
       live_workers = Atomic.make nworkers;
       busy_workers = Atomic.make 0;
+      sink_was_enabled;
       is_drained = false;
       drain_lock = Mutex.create ();
       drain_cond = Condition.create ();

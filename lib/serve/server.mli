@@ -33,7 +33,10 @@ type config =
     job_delay_s : float;
         (** test hook: sleep this long before each job (deterministic
             queue-full / deadline tests). Leave [0.] *)
-    observe : bool;  (** enable the [Zkvc_obs] sink + serve.* metrics *)
+    observe : bool;
+        (** enable the [Zkvc_obs] sink + serve.* metrics while the
+            server runs; the drain puts back the sink state [start]
+            found *)
     clock : (unit -> float) option;
         (** clock installed as the span clock and used for every
             deadline, uptime and duration reading. [None] (the default)

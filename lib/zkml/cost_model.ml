@@ -15,8 +15,6 @@ module Fr = Zkvc_field.Fr
 module L = Zkvc_r1cs.Lc.Make (Fr)
 module Bld = Zkvc_r1cs.Builder.Make (Fr)
 module G = Zkvc_r1cs.Gadgets.Make (Fr)
-module Groth16 = Zkvc_groth16.Groth16
-module Spartan = Zkvc_spartan.Spartan
 
 type backend = Zkvc.Api.backend = Backend_groth16 | Backend_spartan
 
@@ -41,17 +39,8 @@ let time f =
 let measure_prove backend n =
   let rng = Random.State.make [| n; 17 |] in
   let cs, assignment = synthetic_circuit n in
-  match backend with
-  | Backend_groth16 ->
-    let qap = Groth16.Qap.create cs in
-    let pk, _vk = Groth16.setup rng qap in
-    let _proof, t = time (fun () -> Groth16.prove rng pk qap assignment) in
-    t
-  | Backend_spartan ->
-    let inst = Spartan.preprocess cs in
-    let key = Spartan.setup inst in
-    let _proof, t = time (fun () -> Spartan.prove rng key inst assignment) in
-    t
+  let keys = Zkvc.Api.keygen ~rng backend cs in
+  snd (time (fun () -> Zkvc.Api.prove_with ~rng keys assignment))
 
 type calibration = { alpha : float; beta : float (* t(n) = α·n + β·n·log2 n *) }
 

@@ -10,8 +10,7 @@ module Lc = Layer_circuit.Make (Fr)
 module Lin = Zkvc_r1cs.Lc.Make (Fr)
 module Bld = Zkvc_r1cs.Builder.Make (Fr)
 module Cs = Zkvc_r1cs.Constraint_system.Make (Fr)
-module Groth16 = Zkvc_groth16.Groth16
-module Spartan = Zkvc_spartan.Spartan
+module Api = Zkvc.Api
 module Models = Zkvc_nn.Models
 
 (* [Span.now] follows the installed span clock, so these measurements are
@@ -30,23 +29,12 @@ let prove_op ?strategy backend cfg op =
   Lc.build_op ?strategy b cfg op;
   let cs, assignment = Bld.finalize b in
   Cs.check_satisfied cs assignment;
-  let nc = Cs.num_constraints cs in
-  let public_inputs = Array.to_list (Array.sub assignment 1 (Cs.num_inputs cs)) in
-  match (backend : Cost_model.backend) with
-  | Backend_groth16 ->
-    let qap = Groth16.Qap.create cs in
-    let pk, vk = Groth16.setup rng qap in
-    let proof, t_prove = time (fun () -> Groth16.prove rng pk qap assignment) in
-    let ok, t_verify = time (fun () -> Groth16.verify vk ~public_inputs proof) in
-    if not ok then failwith "prove_op: groth16 verification failed";
-    (nc, t_prove, t_verify, Groth16.proof_size_bytes proof)
-  | Backend_spartan ->
-    let inst = Spartan.preprocess cs in
-    let key = Spartan.setup inst in
-    let proof, t_prove = time (fun () -> Spartan.prove rng key inst assignment) in
-    let ok, t_verify = time (fun () -> Spartan.verify key inst ~public_inputs proof) in
-    if not ok then failwith "prove_op: spartan verification failed";
-    (nc, t_prove, t_verify, Spartan.proof_size_bytes proof)
+  let public_inputs = Cs.public_inputs cs assignment in
+  let keys = Api.keygen ~rng backend cs in
+  let proof, t_prove = time (fun () -> Api.prove_with ~rng keys assignment) in
+  let ok, t_verify = time (fun () -> Api.verify_with keys ~public_inputs proof) in
+  if not ok then failwith ("prove_op: " ^ Api.backend_name backend ^ " verification failed");
+  (Cs.num_constraints cs, t_prove, t_verify, Api.proof_size proof)
 
 type table3_row =
   { dataset : string;

@@ -33,10 +33,6 @@ let contains ~sub s =
 
 let tiny = Mspec.dims ~a:2 ~n:2 ~b:2
 
-(* Observing servers enable the process-wide sink; a case that starts one
-   switches it off again so later cases run unobserved. *)
-let observed f = Fun.protect ~finally:Sink.disable f
-
 let counter name = Metrics.counter_value (Metrics.counter name)
 
 let instance_of_seed seed = Spec.seeded_statement ~seed ~bound:16 tiny
@@ -466,7 +462,7 @@ let file_tests =
     Alcotest.test_case "key file verifies a proof after reload" `Quick (fun () ->
         List.iter
           (fun (backend, strategy, (lazy (prep, keys, io, proof))) ->
-            let id = Key_cache.id_of backend strategy tiny ~challenge:prep.Api.challenge prep.Api.cs in
+            let id = Key_cache.id_of backend strategy tiny prep in
             let b =
               Wire.encode_key_file
                 { Wire.kf_backend = backend;
@@ -547,7 +543,9 @@ let cs_of_dims d =
 let cache_tests =
   [ Alcotest.test_case "id is stable and challenge-sensitive" `Quick (fun () ->
         let lazy (prep, _, _, _) = crpc_fix in
-        let id c = Key_cache.id_of Api.Backend_spartan Mc.Crpc_psq tiny ~challenge:c prep.Api.cs in
+        let id c =
+          Key_cache.id_of Api.Backend_spartan Mc.Crpc_psq tiny { prep with Api.challenge = c }
+        in
         check_bool "stable" true (id prep.Api.challenge = id prep.Api.challenge);
         check_bool "challenge changes the id" false
           (id prep.Api.challenge = id (Some (Fr.of_int 123456)));
@@ -560,8 +558,7 @@ let cache_tests =
         let made = ref 0 in
         let insert d =
           let prep = cs_of_dims d in
-          Key_cache.find_or_add t Api.Backend_spartan Mc.Vanilla d
-            ~challenge:prep.Api.challenge ~cs:prep.Api.cs
+          Key_cache.find_or_add t Api.Backend_spartan Mc.Vanilla d prep
             ~make:(fun () ->
               incr made;
               Api.keygen Api.Backend_spartan prep.Api.cs)
@@ -579,7 +576,7 @@ let cache_tests =
         check_bool "evicted entry is a miss without disk" true (h2' = `Miss);
         check_int "rebuilt after eviction" 4 !made;
         check_bool "most recent first" true
-          (List.hd (Key_cache.ids t) = (fst (insert (List.nth dims_list 1))).Key_cache.id);
+          (List.hd (Key_cache.ids t) = (fst (insert (List.nth dims_list 1))).Wire.kf_key_id);
         ignore e1);
     Alcotest.test_case "disk spill: evicted keys reload without keygen" `Quick (fun () ->
         let dir = cache_temp_dir () in
@@ -587,8 +584,7 @@ let cache_tests =
         let made = ref 0 in
         let insert d =
           let prep = cs_of_dims d in
-          Key_cache.find_or_add t Api.Backend_spartan Mc.Vanilla d
-            ~challenge:prep.Api.challenge ~cs:prep.Api.cs
+          Key_cache.find_or_add t Api.Backend_spartan Mc.Vanilla d prep
             ~make:(fun () ->
               incr made;
               Api.keygen Api.Backend_spartan prep.Api.cs)
@@ -600,11 +596,11 @@ let cache_tests =
         let e1', h = insert d1 in
         check_bool "disk hit" true (h = `Hit_disk);
         check_int "no keygen on disk hit" 2 !made;
-        check_bool "same id" true (e1.Key_cache.id = e1'.Key_cache.id);
+        check_bool "same id" true (e1.Wire.kf_key_id = e1'.Wire.kf_key_id);
         (* find_by_id also reaches the disk *)
         let _ = insert d2 in
         check_bool "find_by_id reloads from disk" true
-          (Key_cache.find_by_id t e1.Key_cache.id <> None));
+          (Key_cache.find_by_id t e1.Wire.kf_key_id <> None));
     Alcotest.test_case "find_by_id misses unknown ids" `Quick (fun () ->
         let t = Key_cache.create ~capacity:2 () in
         check_bool "unknown" true (Key_cache.find_by_id t (String.make 32 'q') = None));
@@ -616,8 +612,7 @@ let cache_tests =
         let results = Array.make 2 None in
         let go i () =
           let e, outcome =
-            Key_cache.find_or_add t Api.Backend_spartan Mc.Vanilla tiny
-              ~challenge:prep.Api.challenge ~cs:prep.Api.cs
+            Key_cache.find_or_add t Api.Backend_spartan Mc.Vanilla tiny prep
               ~make:(fun () ->
                 Atomic.incr made;
                 (* keep the slot occupied long enough for the second
@@ -625,7 +620,7 @@ let cache_tests =
                 Thread.delay 0.15;
                 Api.keygen Api.Backend_spartan prep.Api.cs)
           in
-          results.(i) <- Some (e.Key_cache.id, outcome)
+          results.(i) <- Some (e.Wire.kf_key_id, outcome)
         in
         let t1 = Thread.create (go 0) () in
         Thread.delay 0.05;
@@ -805,7 +800,6 @@ let e2e_tests =
           { (Server.default_config ~socket_path:socket) with Server.observe = true }
         in
         let hits0 = counter "serve.cache.hit" and groups0 = counter "serve.batch.groups" in
-        observed @@ fun () ->
         with_server cfg (fun srv ->
             List.iter
               (fun backend ->
@@ -1043,7 +1037,6 @@ let e2e_tests =
             Server.workers = 4;
             observe = true }
         in
-        observed @@ fun () ->
         with_server cfg (fun srv ->
             let cases =
               [| (Mspec.dims ~a:2 ~n:2 ~b:2, 21);
@@ -1123,7 +1116,18 @@ let e2e_tests =
         let dt = Unix.gettimeofday () -. t0 in
         if dt >= 5. then
           Alcotest.failf "shutdown took %.1fs — snapshot loop slept the interval" dt;
-        Sys.remove metrics_file) ]
+        Sys.remove metrics_file);
+    Alcotest.test_case "a drained observing server restores the obs sink" `Quick (fun () ->
+        let before = Sink.is_enabled () in
+        let cfg =
+          { (Server.default_config ~socket_path:(temp_socket "sink")) with
+            Server.observe = true }
+        in
+        let srv = Server.start cfg in
+        check_bool "observed while serving" true (Sink.is_enabled ());
+        Server.shutdown srv;
+        Server.wait srv;
+        check_bool "sink as before start" before (Sink.is_enabled ())) ]
 
 (* ---------------- telemetry e2e ---------------- *)
 

@@ -43,9 +43,10 @@ for f in "$BENCH_JSON" "$BENCH_JSON_PAR"; do
     fi
 done
 
-# total proving seconds across the report's measurement rows
+# total proving seconds across the report's measurement rows: only the
+# measurement-level key (six-space indent), not each row's per-rep values
 sum_prove() {
-    awk -F: '/"prove_s"/ { gsub(/[ ,]/, "", $2); s += $2 } END { printf "%.6f", s }' "$1"
+    awk -F: '/^      "prove_s":/ { gsub(/[ ,]/, "", $2); s += $2 } END { printf "%.6f", s }' "$1"
 }
 SEQ=$(sum_prove "$BENCH_JSON")
 PAR=$(sum_prove "$BENCH_JSON_PAR")

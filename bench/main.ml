@@ -11,7 +11,7 @@
      micro substrate micro-benchmarks (Bechamel)
 
    Usage: main.exe [--full] [--only SECTIONS] [--scale N] [--jobs N]
-                   [--repeat N] [--agg-max N] [--optimize] [--json FILE]
+                   [--repeat N] [--agg-max N] [--optimize]
      --full       run matmul benches at the paper's dimensions (slow)
      --scale N    divide matmul dimensions by N (default 4; 1 = paper size)
      --jobs N     prover worker domains (0 = all cores; default
@@ -19,17 +19,14 @@
      --only ...   comma-separated subset of {tab1,fig3,fig6,tab2,tab3,tab4,agg,abl,micro}
      --agg-max N  largest batch size the agg section measures (default 16)
      --repeat N   repeat every matmul measurement N times after one
-                  untimed warmup run; tables and the report carry the
-                  median (and the report the per-rep times + MAD)
+                  untimed warmup run; tables carry the per-phase median
      --optimize   run the R1CS optimiser pipeline (lib/opt) on every matmul
                   circuit before setup/prove; -O for short
-     --json FILE  also write every matmul measurement as a schema-versioned
-                  Zkvc_obs.Report (tools/ci.sh reads its timings); "-"
-                  writes the report to stdout and moves the human tables
-                  to stderr so it pipes cleanly
 
-   Human tables go to stdout; progress and log chatter go to stderr
-   (swapped as described above under --json -).
+   Human tables go to stdout; progress and log chatter go to stderr. The
+   tab2 and agg sections also print labelled "gate:" lines carrying the
+   medians that tools/ci.sh's two timing gates compare, to the
+   microsecond.
 
    All times are monotonic wall-clock (bechamel's clock_gettime stub),
    never [Sys.time]: that is process CPU time, which sums across worker
@@ -53,7 +50,6 @@ module Pm = Zkvc_zkml.Prove_model
 module Ops = Zkvc_zkml.Ops
 module Nl = Zkvc.Nonlinear
 module Obs = Zkvc_obs
-module Json = Zkvc_obs.Json
 
 let cfg = Nl.default_config
 let rng = Random.State.make [| 0xbe; 0xc4 |]
@@ -68,15 +64,13 @@ let full = ref false
 let scale = ref 4
 let repeat = ref 1
 let only : string list ref = ref []
-let json_file : string option ref = ref None
 
 (* --optimize: run the R1CS optimiser pipeline (Zkvc_opt) on every
    matmul circuit before setup/prove *)
 let optimize = ref false
 
-(* human tables; redirected to stderr when --json - owns stdout *)
-let out = ref stdout
-let tbl fmt = Printf.fprintf !out fmt
+(* human tables *)
+let tbl fmt = Printf.printf fmt
 
 (* progress / log chatter, never on the table stream *)
 let progress fmt = Printf.eprintf fmt
@@ -91,7 +85,7 @@ let agg_max = ref 16
 let usage_error msg =
   Printf.eprintf "bench: %s\n" msg;
   Printf.eprintf
-    "usage: main.exe [--full] [--scale N] [--jobs N] [--only SECTIONS] [--repeat N] [--agg-max N] [--json FILE] [--optimize]\n";
+    "usage: main.exe [--full] [--scale N] [--jobs N] [--only SECTIONS] [--repeat N] [--agg-max N] [--optimize]\n";
   exit 2
 
 let () =
@@ -141,96 +135,17 @@ let () =
        | None -> usage_error (Printf.sprintf "--agg-max expects an integer, got %S" n));
       parse rest
     | [ "--agg-max" ] -> usage_error "--agg-max expects an argument"
-    | "--json" :: f :: rest ->
-      json_file := Some f;
-      parse rest
-    | [ "--json" ] -> usage_error "--json expects an argument"
     | "--optimize" :: rest | "-O" :: rest ->
       optimize := true;
       parse rest
     | arg :: _ -> usage_error ("unknown argument: " ^ arg)
   in
   parse (List.tl (Array.to_list Sys.argv));
-  (* with the report on stdout, the human tables move to stderr so the
-     machine output stays pipeable *)
-  if !json_file = Some "-" then out := stderr;
   (* every Api.run / Span timing in this process reads wall time, not
      CPU time; install before any worker domain is spawned *)
   Obs.Span.set_clock now
 
 let enabled section = !only = [] || List.mem section !only
-
-(* ------------------------------------------------------------------ *)
-(* machine-readable report (Zkvc_obs.Report)                           *)
-
-let iso8601_utc_now () =
-  let tm = Unix.gmtime (Unix.gettimeofday ()) in
-  Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
-    (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
-
-(* measurements of the report, newest first *)
-let report_measurements : Obs.Report.measurement list ref = ref []
-
-(* One report measurement from the timed reps of one (section, scheme,
-   strategy, backend, dims) cell; the deterministic ledger fields are
-   identical across reps, the GC fields come from the last rep. *)
-let record_measurement ~section ~scheme (ms : Api.measurement list) =
-  if !json_file <> None then begin
-    let m = List.nth ms (List.length ms - 1) in
-    let reps =
-      List.map
-        (fun (r : Api.measurement) ->
-          { Obs.Report.setup_s = r.Api.timings.Api.setup_s;
-            prove_s = r.Api.timings.Api.prove_s;
-            verify_s = r.Api.timings.Api.verify_s })
-        ms
-    in
-    let ledger =
-      { Obs.Report.constraints = m.Api.constraints;
-        variables = m.Api.variables;
-        nonzero_a = m.Api.nonzero_a;
-        nonzero_b = m.Api.nonzero_b;
-        nonzero_c = m.Api.nonzero_c;
-        witness = m.Api.witness;
-        top_heap_words = m.Api.top_heap_words;
-        major_collections = m.Api.major_collections }
-    in
-    report_measurements :=
-      Obs.Report.summarize ~section ~scheme
-        ~strategy:(Mc.strategy_name m.Api.strategy)
-        ~backend:(Api.backend_name m.Api.backend)
-        ~dims:(m.Api.dims.Mspec.a, m.Api.dims.Mspec.n, m.Api.dims.Mspec.b)
-        ~reps ~proof_bytes:m.Api.proof_bytes ~ledger ()
-      :: !report_measurements
-  end
-
-let write_json_report () =
-  match !json_file with
-  | None -> ()
-  | Some file ->
-    let report =
-      { Obs.Report.env =
-          { Obs.Report.ocaml_version = Sys.ocaml_version;
-            nproc = Domain.recommended_domain_count ();
-            jobs = Zkvc_parallel.jobs ();
-            scale = !scale;
-            full = !full;
-            clock = "monotonic";
-            date = iso8601_utc_now () };
-        sections = (if !only = [] then valid_sections else !only);
-        measurements = List.rev !report_measurements }
-    in
-    let text = Json.to_string_pretty (Obs.Report.to_json report) in
-    if file = "-" then print_string text
-    else (
-      try Obs.Export.write_file file text
-      with Sys_error msg ->
-        Printf.eprintf "bench: cannot write json report: %s\n" msg;
-        exit 1);
-    progress "bench: json report: %d measurement(s), %d rep(s) each, written to %s\n"
-      (List.length !report_measurements)
-      !repeat
-      (if file = "-" then "stdout" else file)
 
 let header title =
   tbl "\n======================================================================\n";
@@ -281,15 +196,13 @@ let median_measurement (ms : Api.measurement list) =
           prove_s = med (fun r -> r.Api.timings.Api.prove_s);
           verify_s = med (fun r -> r.Api.timings.Api.verify_s) } }
 
-let measure ?(section = "") ?(scheme = "") backend strategy d inst =
+let measure backend strategy d inst =
   let x, w = inst in
   let opt = if !optimize then Some Api.Opt.default else None in
   let run () = snd (Api.run ~rng ?optimize:opt backend strategy ~x ~w d) in
   (* one untimed warmup so the first rep doesn't pay cold-cache costs *)
   if !repeat > 1 then ignore (run ());
-  let ms = List.init !repeat (fun _ -> run ()) in
-  if section <> "" then record_measurement ~section ~scheme ms;
-  median_measurement ms
+  median_measurement (List.init !repeat (fun _ -> run ()))
 
 let run_fig3 () =
   let d = scaled_dims 128 in
@@ -299,10 +212,10 @@ let run_fig3 () =
        Mspec.pp_dims d
        (if !scale = 1 then "" else Printf.sprintf ", scaled 1/%d" !scale));
   let inst = Spec.random_statement rng ~bound:256 d in
-  let g_vanilla = measure ~section:"fig3" ~scheme:"groth16" Api.Backend_groth16 Mc.Vanilla d inst in
-  let g_zkvc = measure ~section:"fig3" ~scheme:"zkVC-G" Api.Backend_groth16 Mc.Crpc_psq d inst in
-  let s_vanilla = measure ~section:"fig3" ~scheme:"Spartan" Api.Backend_spartan Mc.Vanilla d inst in
-  let s_zkvc = measure ~section:"fig3" ~scheme:"zkVC-S" Api.Backend_spartan Mc.Crpc_psq d inst in
+  let g_vanilla = measure Api.Backend_groth16 Mc.Vanilla d inst in
+  let g_zkvc = measure Api.Backend_groth16 Mc.Crpc_psq d inst in
+  let s_vanilla = measure Api.Backend_spartan Mc.Vanilla d inst in
+  let s_zkvc = measure Api.Backend_spartan Mc.Crpc_psq d inst in
   tbl "%-14s %12s %12s %10s\n" "scheme" "prove(s)" "vs-groth16" "source";
   let base = g_vanilla.Api.timings.Api.prove_s in
   let row name t emulated =
@@ -352,7 +265,7 @@ let run_fig6 () =
       in
       List.iter
         (fun (name, backend, strategy) ->
-          let m = measure ~section:"fig6" ~scheme:name backend strategy d inst in
+          let m = measure backend strategy d inst in
           (* non-interactive: the verifier's only online work is [verify] *)
           tbl "%-10d %-14s %10.3f %10.4f %10d %12.4f\n%!" d2 name
             m.Api.timings.Api.prove_s m.Api.timings.Api.verify_s m.Api.proof_bytes
@@ -386,8 +299,8 @@ let run_tab2 () =
   let results =
     List.map
       (fun (crpc, psq, strategy) ->
-        let g = measure ~section:"tab2" ~scheme:"zkVC-G" Api.Backend_groth16 strategy d inst in
-        let s = measure ~section:"tab2" ~scheme:"zkVC-S" Api.Backend_spartan strategy d inst in
+        let g = measure Api.Backend_groth16 strategy d inst in
+        let s = measure Api.Backend_spartan strategy d inst in
         tbl "%-6s %-6s | %12.3f %12.4f | %12.3f %12.4f | %12d %9d\n%!"
           (if crpc then "yes" else "no")
           (if psq then "yes" else "no")
@@ -396,6 +309,11 @@ let run_tab2 () =
         (crpc, psq, g, s))
       strategies
   in
+  (* the parallel-not-slower CI gate sums these eight medians *)
+  tbl "gate: tab2 prove_total_s=%.6f\n"
+    (List.fold_left
+       (fun acc (_, _, g, s) -> acc +. g.Api.timings.Api.prove_s +. s.Api.timings.Api.prove_s)
+       0. results);
   let get c p =
     let _, _, g, _ = List.find (fun (c', p', _, _) -> c = c' && p = p') results in
     g.Api.timings.Api.prove_s
@@ -419,13 +337,13 @@ let run_tab2 () =
 (* Per-proof verification cost as the batch grows: N honest proofs under
    one (challenge-free) key verified three ways — one at a time, with the
    backend's combined batch check, and (Groth16) compressed into one
-   SnarkPack aggregate. Report rows (section "agg"):
-     setup_s  = per-proof INDIVIDUAL verify seconds (the amortised baseline)
-     prove_s  = total combined-check seconds for the whole batch
-     verify_s = per-proof combined seconds — the number that must fall as
-                N grows (tools/ci.sh asserts it is below setup_s at N=16)
-   [proof_bytes] carries the single-proof size for batch rows and the
-   aggregate blob size for snarkpack rows (constant-ish vs N x 259 B). *)
+   SnarkPack aggregate. Each rep times the N individual verifies and the
+   one combined check; rows print the medians. The proof(B) column is the
+   single-proof size for batch rows and the aggregate blob size for
+   snarkpack rows (constant-ish vs N x 259 B). After the table, one
+   "gate:" line per batch row carries its per-proof individual and
+   batched medians: the batched one must fall below the individual one
+   as N grows (tools/ci.sh asserts it at N=16). *)
 let run_agg () =
   let module Groth16 = Zkvc_groth16.Groth16 in
   let module Aggregate = Zkvc_groth16.Aggregate in
@@ -444,6 +362,7 @@ let run_agg () =
     (r, now () -. t0)
   in
   let median l = Obs.Stats.median (Array.of_list l) in
+  let gates = ref [] in
   tbl "%-8s %4s | %12s %12s %12s | %10s %10s\n" "backend" "N" "indiv(s)"
     "batched(s)" "per-proof" "amortised" "proof(B)";
   List.iter
@@ -462,27 +381,6 @@ let run_agg () =
             ( Api.Cs.public_inputs prep.Api.cs prep.Api.assignment,
               Api.prove_with ~rng keys prep.Api.assignment ))
           preps
-      in
-      let stats = Api.Cs.stats prep0.Api.cs in
-      let ledger =
-        { Obs.Report.constraints = stats.Api.Cs.constraints;
-          variables = stats.Api.Cs.variables;
-          nonzero_a = stats.Api.Cs.nonzero_a;
-          nonzero_b = stats.Api.Cs.nonzero_b;
-          nonzero_c = stats.Api.Cs.nonzero_c;
-          witness = Api.Cs.num_aux prep0.Api.cs;
-          top_heap_words = 0;
-          major_collections = 0 }
-      in
-      let record scheme ~reps ~proof_bytes =
-        if !json_file <> None then
-          report_measurements :=
-            Obs.Report.summarize ~section:"agg" ~scheme
-              ~strategy:(Mc.strategy_name strategy)
-              ~backend:(Api.backend_name backend)
-              ~dims:(d.Mspec.a, d.Mspec.n, d.Mspec.b)
-              ~reps ~proof_bytes ~ledger ()
-            :: !report_measurements
       in
       let take n = List.filteri (fun i _ -> i < n) members in
       let single_proof_bytes =
@@ -526,13 +424,14 @@ let run_agg () =
                         pairs)
                 in
                 let (), t_batch = time (fun () -> batch_check pairs) in
-                { Obs.Report.setup_s = t_ind /. float_of_int n;
-                  prove_s = t_batch;
-                  verify_s = t_batch /. float_of_int n })
+                (t_ind /. float_of_int n, t_batch))
           in
-          record (Printf.sprintf "batch-n%d" n) ~reps ~proof_bytes:single_proof_bytes;
-          let t_ind_pp = median (List.map (fun (r : Obs.Report.rep) -> r.Obs.Report.setup_s) reps) in
-          let t_batch = median (List.map (fun (r : Obs.Report.rep) -> r.Obs.Report.prove_s) reps) in
+          let t_ind_pp = median (List.map fst reps) in
+          let t_batch = median (List.map snd reps) in
+          gates :=
+            Printf.sprintf "gate: agg backend=%s n=%d individual_s=%.6f batched_s=%.6f" bname
+              n t_ind_pp (t_batch /. float_of_int n)
+            :: !gates;
           tbl "%-8s %4d | %12.3f %12.3f %12.4f | %9.1fx %10d\n%!" bname n
             (t_ind_pp *. float_of_int n)
             t_batch
@@ -577,13 +476,10 @@ let run_agg () =
                     time (fun () ->
                         assert (Aggregate.verify_aggregate srs vk ios agg))
                   in
-                  { Obs.Report.setup_s = t_ind /. float_of_int n;
-                    prove_s = t_ver;
-                    verify_s = t_ver /. float_of_int n })
+                  (t_ind /. float_of_int n, t_ver))
             in
-            record (Printf.sprintf "snarkpack-n%d" n) ~reps ~proof_bytes:blob;
-            let t_ind_pp = median (List.map (fun (r : Obs.Report.rep) -> r.Obs.Report.setup_s) reps) in
-            let t_ver = median (List.map (fun (r : Obs.Report.rep) -> r.Obs.Report.prove_s) reps) in
+            let t_ind_pp = median (List.map fst reps) in
+            let t_ver = median (List.map snd reps) in
             tbl
               "%-8s %4d | %12s %12.3f %12.4f | %9.1fx %10d  (snarkpack, agg %.2fs)\n%!"
               "g16-agg" n "-" t_ver
@@ -595,7 +491,8 @@ let run_agg () =
           "batched(s) = one combined check for the whole batch; amortised = per-proof\n";
         tbl
           "individual / per-proof combined. snarkpack rows verify ONE aggregate proof.\n%!")
-    [ ("groth16", Api.Backend_groth16); ("spartan", Api.Backend_spartan) ]
+    [ ("groth16", Api.Backend_groth16); ("spartan", Api.Backend_spartan) ];
+  List.iter (fun l -> tbl "%s\n%!" l) (List.rev !gates)
 
 (* ------------------------------------------------------------------ *)
 (* Tables III and IV                                                    *)
@@ -898,5 +795,4 @@ let () =
   if enabled "agg" then run_agg ();
   if enabled "abl" then run_ablations ();
   if enabled "micro" then run_micro ();
-  write_json_report ();
   progress "bench complete.\n"

@@ -102,10 +102,17 @@ let opt_of_flag b = if b then Some Api.Opt.default else None
 
 (* ---- codec file IO ---- *)
 
+(* a [Sys_error] message naming [path]: open errors already name the
+   file; read and write errors do not *)
+let io_error path msg = if String.starts_with ~prefix:path msg then msg else path ^ ": " ^ msg
+
+(* Every output file goes through here: an unwritable path prints why and
+   exits 2, like an unreadable input. *)
 let write_file path bytes =
-  let oc = open_out_bin path in
-  output_bytes oc bytes;
-  close_out oc
+  try Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc bytes)
+  with Sys_error msg ->
+    Printf.eprintf "zkvc_cli: cannot write %s\n" (io_error path msg);
+    exit 2
 
 let read_file path = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all)
 
@@ -114,9 +121,7 @@ let read_file path = Bytes.of_string (In_channel.with_open_bin path In_channel.i
 let load_file decode ~what path =
   match read_file path with
   | exception Sys_error msg ->
-    (* open errors already name the file; read errors do not *)
-    let msg = if String.starts_with ~prefix:path msg then msg else path ^ ": " ^ msg in
-    Printf.eprintf "zkvc_cli: cannot read %s\n" msg;
+    Printf.eprintf "zkvc_cli: cannot read %s\n" (io_error path msg);
     None
   | bytes -> (
     match decode bytes with
@@ -275,7 +280,7 @@ let prove_cmd =
             file
         with Sys_error msg ->
           Printf.eprintf "zkvc_cli: cannot write trace: %s\n" msg;
-          exit 1)
+          exit 2)
      | None -> ());
     if metrics then begin
       print_newline ();
@@ -510,16 +515,12 @@ let profile_cmd =
             (List.map (fun (p, c) -> Printf.sprintf "%s (%d)" p c) tops)));
     (match folded with
      | Some file ->
-       let oc = open_out file in
-       output_string oc (Obs.Attrib.to_folded tree);
-       close_out oc;
+       write_file file (Bytes.of_string (Obs.Attrib.to_folded tree));
        Printf.printf "folded stacks: %s\n" file
      | None -> ());
     (match json_file with
      | Some file ->
-       let oc = open_out file in
-       output_string oc (Obs.Json.to_string_pretty (Obs.Attrib.to_json tree));
-       close_out oc;
+       write_file file (Bytes.of_string (Obs.Json.to_string_pretty (Obs.Attrib.to_json tree)));
        Printf.printf "region tree: %s\n" file
      | None -> ());
     if not ok then 1 else if not sum_ok then 3 else 0

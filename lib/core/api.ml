@@ -24,8 +24,7 @@ type timings =
     prove_s : float;
     verify_s : float }
 
-(* Cost ledger per proved statement: circuit shape (deterministic) plus
-   GC cost (noise — never compared exactly across runs). See api.mli. *)
+(* One proved statement's shape, size, verdict and timings. See api.mli. *)
 type measurement =
   { strategy : Matmul_circuit.strategy;
     backend : backend;
@@ -38,12 +37,7 @@ type measurement =
     witness : int;
     proof_bytes : int;
     verified : bool;
-    top_heap_words : int;
-    major_collections : int;
-    timings : timings;
-    regions : Zkvc_obs.Attrib.t
-        (* provenance tree with witness time and the prove time
-           apportioned over regions by nnz share *) }
+    timings : timings }
 
 type proof =
   | Groth16_proof of Groth16.proof
@@ -192,7 +186,6 @@ let proof_size = function
     ([measurement.verified]), not an exception: the adversary harness
     and the bench observe rejection without catching anything. *)
 let run_prepared ?(rng = default_rng ()) backend strategy d prep =
-  let gc0 = Gc.quick_stat () in
   let cs = prep.cs in
   let stats = Cs.stats cs in
   let public_inputs = Cs.public_inputs cs prep.assignment in
@@ -206,7 +199,6 @@ let run_prepared ?(rng = default_rng ()) backend strategy d prep =
   in
   let proof_bytes = proof_size proof in
   let timings = { setup_s = t_setup; prove_s = t_prove; verify_s = t_verify } in
-  let gc1 = Gc.quick_stat () in
   ( proof,
     { strategy;
       backend;
@@ -219,10 +211,7 @@ let run_prepared ?(rng = default_rng ()) backend strategy d prep =
       witness = Cs.num_aux cs;
       proof_bytes;
       verified = ok;
-      top_heap_words = gc1.Gc.top_heap_words;
-      major_collections = gc1.Gc.major_collections - gc0.Gc.major_collections;
-      timings;
-      regions = Obs.Attrib.with_prove_share ~prove_s:t_prove prep.regions } )
+      timings } )
 
 let run ?rng ?optimize backend strategy ~x ~w d =
   let prep =

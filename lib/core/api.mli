@@ -17,16 +17,13 @@ val backend_name : backend -> string
 
 type timings = { setup_s : float; prove_s : float; verify_s : float }
 
-(** Everything the bench's cost ledger records per proved statement.
-    [nonzero_a/b/c] are nonzero entries per QAP column family (= R1CS
-    matrix); [nonzero_a] is the paper's "left wires". [witness] is the
-    private witness length ([num_aux]). [verified] is the outcome of the
-    verification pass — honest runs always produce [true]; the adversary
-    harness proves from corrupted witnesses and reads rejection here.
-    [top_heap_words] is the GC's peak heap at the end of the run and
-    [major_collections] the number of major GC cycles its keygen, prove
-    and verify triggered — both measurement noise, never compared
-    exactly across runs. *)
+(** One proved statement's circuit shape, proof size, verdict and
+    phase timings: what the bench tables print. [nonzero_a/b/c] are
+    nonzero entries per QAP column family (= R1CS matrix); [nonzero_a] is
+    the paper's "left wires". [witness] is the private witness length
+    ([num_aux]). [verified] is the outcome of the verification pass —
+    honest runs always produce [true]; the adversary harness proves from
+    corrupted witnesses and reads rejection here. *)
 type measurement =
   { strategy : Matmul_circuit.strategy;
     backend : backend;
@@ -39,13 +36,7 @@ type measurement =
     witness : int;
     proof_bytes : int;
     verified : bool;
-    top_heap_words : int;
-    major_collections : int;
-    timings : timings;
-    regions : Zkvc_obs.Attrib.t
-        (** constraint-provenance tree: per-region counts, witness-
-            generation time, and the measured prove time apportioned
-            over regions by nonzero share *) }
+    timings : timings }
 
 type proof =
   | Groth16_proof of Zkvc_groth16.Groth16.proof

@@ -16,8 +16,5 @@ val to_jsonl : Span.t list -> string
 
 val to_chrome_trace : Span.t list -> Json.t
 
-(** Write [contents] to [path], truncating. *)
-val write_file : string -> string -> unit
-
 (** [write_chrome_trace path spans] = compact {!to_chrome_trace} to a file. *)
 val write_chrome_trace : string -> Span.t list -> unit

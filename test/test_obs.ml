@@ -1,4 +1,4 @@
-(* Zkvc_obs: spans, metrics, exporters — and the contract that Api.run's
+(* Zkvc_obs: spans, metrics, exporters, the bench's median — and the contract that Api.run's
    measurement record stays consistent with the span data it is rebuilt
    from when the sink is recording. *)
 
@@ -9,6 +9,7 @@ module Json = Zkvc_obs.Json
 module Export = Zkvc_obs.Export
 module Flight = Zkvc_obs.Flight
 module Expose = Zkvc_obs.Expose
+module Stats = Zkvc_obs.Stats
 
 module Fr = Zkvc_field.Fr
 module Api = Zkvc.Api
@@ -437,6 +438,47 @@ let test_expose_parse_rejects () =
     [ ""; "# just a comment\n"; "m 1\n"; "m{a=\"b\",c=\"d\\\"e\"} 2.5 1699999999\n" ]
 
 (* ------------------------------------------------------------------ *)
+(* Stats.median (qcheck)                                               *)
+
+let sample_gen =
+  (* non-empty arrays of small positive dyadic rationals (k / 2^20,
+     k < 2^24): shaped like timing samples, but exact in double
+     precision, so the invariants below can use [=] instead of a
+     tolerance *)
+  QCheck.(
+    array_of_size
+      Gen.(int_range 1 40)
+      (map (fun k -> float_of_int k /. 1048576.) (int_bound 16_777_215)))
+
+let shuffle rng xs =
+  let a = Array.copy xs in
+  for i = Array.length a - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done;
+  a
+
+let qcheck_stats =
+  let rng = Random.State.make [| 0x57a7 |] in
+  [ QCheck.Test.make ~count:200 ~name:"median invariant under permutation" sample_gen
+      (fun xs -> Stats.median xs = Stats.median (shuffle rng xs));
+    QCheck.Test.make ~count:200 ~name:"median bounded by sample range" sample_gen (fun xs ->
+        let m = Stats.median xs in
+        Array.fold_left Float.min xs.(0) xs <= m && m <= Array.fold_left Float.max xs.(0) xs);
+    QCheck.Test.make ~count:200 ~name:"duplicating every sample preserves the median"
+      sample_gen (fun xs ->
+        Stats.median (Array.append xs xs) = Stats.median xs) ]
+
+let test_stats_known_values () =
+  check_bool "median of odd sample" true (Stats.median [| 3.; 1.; 2. |] = 2.);
+  check_bool "median of even sample averages the middle pair" true
+    (Stats.median [| 4.; 1.; 3.; 2. |] = 2.5);
+  Alcotest.check_raises "empty sample rejected" (Invalid_argument "Stats.median: empty sample")
+    (fun () -> ignore (Stats.median [||]))
+
+(* ------------------------------------------------------------------ *)
 (* Api.run measurement consistency (both backends)                      *)
 
 let run_backend_consistency backend prove_root =
@@ -528,6 +570,9 @@ let () =
           Alcotest.test_case "chrome trace valid json" `Quick test_chrome_trace_valid;
           Alcotest.test_case "chrome trace tid and args" `Quick
             test_chrome_trace_tid_and_args ] );
+      ( "stats",
+        Alcotest.test_case "known values" `Quick test_stats_known_values
+        :: List.map QCheck_alcotest.to_alcotest qcheck_stats );
       ( "api",
         [ Alcotest.test_case "groth16 timings from spans" `Quick test_api_groth16_consistency;
           Alcotest.test_case "spartan timings from spans" `Quick test_api_spartan_consistency;

@@ -1,10 +1,11 @@
 #!/bin/sh
 # CI entry point: the tier-1 build and test suites at two job counts, the
-# perfbench smoke test (every BENCHMARK.json workload at tiny size, its
+# perfbench smoke test (every declared benchmark workload at tiny size, its
 # correctness gate and fault injection), and the two timing gates: a paired
 # smoke bench (sequential vs parallel) whose parallel run must not be
 # slower, and a bench run in which batched verification at N=16 must beat
-# individual verification per proof on both backends.
+# individual verification per proof on both backends. Both gates read the
+# medians that the bench prints on its labelled "gate:" lines.
 #
 # Everything else CI used to check lives under `dune runtest`: the Table II
 # ledgers and region trees (test/test_attrib.ml), proof byte-identity and the
@@ -29,27 +30,28 @@ ZKVC_JOBS=0 dune runtest --force
 echo "== perfbench smoke (every workload, gate, fault injection) =="
 dune build @perfbench/test/perfbench-smoke
 
+# the bench's own output, kept only for the gates below
+OUT=$(mktemp -d)
+trap 'rm -rf "$OUT"' EXIT
+
 echo "== smoke bench (tab2, scale 16, repeat 3, jobs=1 vs jobs=max) =="
-BENCH_JSON=${BENCH_JSON:-/tmp/bench.json}
-BENCH_JSON_PAR=${BENCH_JSON_PAR:-/tmp/bench-par.json}
-rm -f "$BENCH_JSON" "$BENCH_JSON_PAR"
-dune exec bench/main.exe -- --only tab2 --scale 16 --repeat 3 --jobs 1 --json "$BENCH_JSON"
-dune exec bench/main.exe -- --only tab2 --scale 16 --repeat 3 --jobs 0 --json "$BENCH_JSON_PAR"
+dune exec bench/main.exe -- --only tab2 --scale 16 --repeat 3 --jobs 1 > "$OUT/seq.txt"
+dune exec bench/main.exe -- --only tab2 --scale 16 --repeat 3 --jobs 0 > "$OUT/par.txt"
+cat "$OUT/seq.txt" "$OUT/par.txt"
 
-for f in "$BENCH_JSON" "$BENCH_JSON_PAR"; do
-    if [ ! -s "$f" ]; then
-        echo "ci: bench json report missing or empty: $f" >&2
+# the sum of Table II's eight prove medians, from the bench's one
+# "gate: tab2 prove_total_s=S" line; fails loudly when the line is missing
+prove_total() {
+    awk '$1 == "gate:" && $2 == "tab2" && $3 ~ /^prove_total_s=[0-9.]+$/ {
+        v = substr($3, 15); n += 1
+    }
+    END { if (n != 1) exit 1; print v }' "$1" || {
+        echo "ci: expected one 'gate: tab2 prove_total_s=' line in the bench output ($1)" >&2
         exit 1
-    fi
-done
-
-# total proving seconds across the report's measurement rows: only the
-# measurement-level key (six-space indent), not each row's per-rep values
-sum_prove() {
-    awk -F: '/^      "prove_s":/ { gsub(/[ ,]/, "", $2); s += $2 } END { printf "%.6f", s }' "$1"
+    }
 }
-SEQ=$(sum_prove "$BENCH_JSON")
-PAR=$(sum_prove "$BENCH_JSON_PAR")
+SEQ=$(prove_total "$OUT/seq.txt") || exit 1
+PAR=$(prove_total "$OUT/par.txt") || exit 1
 echo "ci: prove totals  jobs=1 ${SEQ}s  jobs=max ${PAR}s"
 
 if [ "$NPROC" -le 1 ]; then
@@ -67,28 +69,32 @@ else
 fi
 
 echo "== amortisation gate: batched beats individual at N=16 =="
-# batch-nN rows carry per-proof individual verify in setup_s and per-proof
-# batched verify in verify_s; the awk below asserts the headline claim on
-# a fresh run — at N=16 the batched per-proof cost beats the individual
-# per-proof cost on both backends
-BENCH_AGG_JSON=${BENCH_AGG_JSON:-/tmp/bench-agg.json}
-rm -f "$BENCH_AGG_JSON"
+# the bench prints one "gate: agg backend=B n=N individual_s=S batched_s=S"
+# line per batch row, each value a per-proof median; at N=16 the batched
+# cost must beat the individual cost on both backends
 dune exec bench/main.exe -- --only agg --scale 16 --repeat 3 --jobs 1 \
-    --agg-max 16 --json "$BENCH_AGG_JSON"
+    --agg-max 16 > "$OUT/agg.txt"
+cat "$OUT/agg.txt"
 awk '
-/"scheme": "batch-n16"/ { want = 1 }
-want && /^      "setup_s":/ { ind = $2 + 0 }
-want && /^      "verify_s":/ {
-    per = $2 + 0
-    if (!(per < ind)) {
-        printf "ci: batch-n16 per-proof %.4fs is not cheaper than individual %.4fs\n", per, ind
+$1 == "gate:" && $2 == "agg" {
+    split("", f)
+    for (i = 3; i <= NF; i++) { split($i, kv, "="); f[kv[1]] = kv[2] }
+    if (f["n"] != "16") next
+    seen[f["backend"]] = 1
+    if (!(f["batched_s"] ~ /^[0-9.]+$/ && f["individual_s"] ~ /^[0-9.]+$/ \
+          && f["batched_s"] + 0 < f["individual_s"] + 0)) {
+        printf "ci: %s batch-n16 per-proof %ss is not cheaper than individual %ss\n",
+            f["backend"], f["batched_s"], f["individual_s"]
+        bad = 1
+    }
+}
+END {
+    if (!seen["groth16"] || !seen["spartan"]) {
+        print "ci: expected a gate: agg line at n=16 for groth16 and spartan"
         exit 1
     }
-    rows += 1
-    want = 0
-}
-END { if (rows < 2) { print "ci: expected a batch-n16 row per backend"; exit 1 } }' \
-    "$BENCH_AGG_JSON" || exit 1
-echo "ci: amortisation gate ok ($BENCH_AGG_JSON)"
+    if (bad) exit 1
+}' "$OUT/agg.txt" || exit 1
+echo "ci: amortisation gate ok"
 
-echo "ci: ok ($BENCH_JSON, $BENCH_JSON_PAR)"
+echo "ci: ok"

@@ -332,25 +332,22 @@ let run_tab2 () =
     (get false false /. Stdlib.max 1e-9 (get true true))
 
 (* ------------------------------------------------------------------ *)
-(* Amortised verification: batch verify + SnarkPack aggregation         *)
+(* Amortised verification: batch verify                                 *)
 
 (* Per-proof verification cost as the batch grows: N honest proofs under
-   one (challenge-free) key verified three ways — one at a time, with the
-   backend's combined batch check, and (Groth16) compressed into one
-   SnarkPack aggregate. Each rep times the N individual verifies and the
-   one combined check; rows print the medians. The proof(B) column is the
-   single-proof size for batch rows and the aggregate blob size for
-   snarkpack rows (constant-ish vs N x 259 B). After the table, one
-   "gate:" line per batch row carries its per-proof individual and
-   batched medians: the batched one must fall below the individual one
-   as N grows (tools/ci.sh asserts it at N=16). *)
+   one (challenge-free) key verified two ways — one at a time, and with
+   the backend's combined batch check. Each rep times the N individual
+   verifies and the one combined check; rows print the medians. The
+   proof(B) column is the single-proof size. After the table, one
+   "gate:" line per row carries its per-proof individual and batched
+   medians: the batched one must fall below the individual one as N
+   grows (tools/ci.sh asserts it at N=16). *)
 let run_agg () =
   let module Groth16 = Zkvc_groth16.Groth16 in
-  let module Aggregate = Zkvc_groth16.Aggregate in
   let module Spartan = Zkvc_spartan.Spartan in
   let d = scaled_dims 128 in
   header
-    (Format.asprintf "Amortised verification — batch + aggregate, dims %a%s"
+    (Format.asprintf "Amortised verification — batch, dims %a%s"
        Mspec.pp_dims d
        (if !scale = 1 then "" else Printf.sprintf " (scaled 1/%d)" !scale));
   let ns = List.filter (fun n -> n <= !agg_max) [ 1; 4; 16; 64 ] in
@@ -438,60 +435,11 @@ let run_agg () =
             (t_batch /. float_of_int n)
             (t_ind_pp /. Stdlib.max 1e-9 (t_batch /. float_of_int n))
             single_proof_bytes)
-        ns;
-      (* SnarkPack aggregation (Groth16 only): one O(log N) proof for the
-         whole batch; the verifier pays ~constant pairings however large
-         N grows *)
-      match keys with
-      | Api.Spartan_keys _ -> ()
-      | Api.Groth16_keys { vk; _ } ->
-        let srs, t_srs =
-          time (fun () -> Aggregate.setup rng ~max_proofs:(Stdlib.max 2 n_max))
-        in
-        progress "agg: aggregation SRS in %.2fs\n%!" t_srs;
-        List.iter
-          (fun n ->
-            let pairs =
-              List.map
-                (function
-                  | io, Api.Groth16_proof p -> (io, p)
-                  | _ -> assert false)
-                (take n)
-            in
-            let ios = List.map fst pairs in
-            let agg, t_agg = time (fun () -> Aggregate.aggregate srs vk pairs) in
-            let blob = Aggregate.proof_size_bytes agg in
-            let reps =
-              List.init !repeat (fun _ ->
-                  let (), t_ind =
-                    time (fun () ->
-                        List.iter
-                          (fun (io, p) ->
-                            assert
-                              (Api.verify_with keys ~public_inputs:io
-                                 (Api.Groth16_proof p)))
-                          pairs)
-                  in
-                  let (), t_ver =
-                    time (fun () ->
-                        assert (Aggregate.verify_aggregate srs vk ios agg))
-                  in
-                  (t_ind /. float_of_int n, t_ver))
-            in
-            let t_ind_pp = median (List.map fst reps) in
-            let t_ver = median (List.map snd reps) in
-            tbl
-              "%-8s %4d | %12s %12.3f %12.4f | %9.1fx %10d  (snarkpack, agg %.2fs)\n%!"
-              "g16-agg" n "-" t_ver
-              (t_ver /. float_of_int n)
-              (t_ind_pp /. Stdlib.max 1e-9 (t_ver /. float_of_int n))
-              blob t_agg)
-          (List.filter (fun n -> n >= 2) ns);
-        tbl
-          "batched(s) = one combined check for the whole batch; amortised = per-proof\n";
-        tbl
-          "individual / per-proof combined. snarkpack rows verify ONE aggregate proof.\n%!")
+        ns)
     [ ("groth16", Api.Backend_groth16); ("spartan", Api.Backend_spartan) ];
+  tbl
+    "batched(s) = one combined check for the whole batch; amortised = per-proof\n\
+     individual / per-proof combined.\n%!";
   List.iter (fun l -> tbl "%s\n%!" l) (List.rev !gates)
 
 (* ------------------------------------------------------------------ *)

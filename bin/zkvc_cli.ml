@@ -20,8 +20,6 @@ module Server = Zkvc_serve.Server
 module Client = Zkvc_serve.Client
 module Key_cache = Zkvc_serve.Key_cache
 module Batch = Zkvc_serve.Batch
-module Groth16 = Zkvc_groth16.Groth16
-module Aggregate = Zkvc_groth16.Aggregate
 
 open Cmdliner
 
@@ -114,6 +112,11 @@ let write_file path bytes =
     Printf.eprintf "zkvc_cli: cannot write %s\n" (io_error path msg);
     exit 2
 
+(* the recorded spans as one compact Chrome trace_event file *)
+let write_trace path =
+  write_file path
+    (Bytes.of_string (Obs.Json.to_string (Obs.Export.to_chrome_trace (Obs.Span.roots ()))))
+
 let read_file path = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all)
 
 (* Read and decode one codec file ([what] names its kind in messages). A
@@ -198,12 +201,12 @@ let prove_cmd =
                    backend, strategy, dims and optimiser config come from \
                    the file; only $(b,--seed) picks the instance. Proofs \
                    from different seeds then share one key — required for \
-                   $(b,verify --batch) and $(b,aggregate). CRPC keys are \
+                   $(b,verify --batch). CRPC keys are \
                    statement-bound, so this needs a challenge-free \
                    strategy (vanilla / vanilla+psq) or a matching seed.")
   in
   (* prove under an existing key file: same CRS for every seed, which is
-     what batch verification and aggregation need offline. The generated
+     what batch verification needs offline. The generated
      statement must land on the key file's key id (CRPC challenges are
      statement-derived, so a mismatched seed fails loudly here instead of
      yielding an unverifiable proof). *)
@@ -273,14 +276,10 @@ let prove_cmd =
      | None -> ());
     (match trace with
      | Some file ->
-       (try
-          Obs.Export.write_chrome_trace file (Obs.Span.roots ());
-          Printf.printf "trace: %d spans written to %s\n"
-            (List.length (String.split_on_char '\n' (Obs.Export.to_jsonl (Obs.Span.roots ()))) - 1)
-            file
-        with Sys_error msg ->
-          Printf.eprintf "zkvc_cli: cannot write trace: %s\n" msg;
-          exit 2)
+       write_trace file;
+       Printf.printf "trace: %d spans written to %s\n"
+         (List.length (String.split_on_char '\n' (Obs.Export.to_jsonl (Obs.Span.roots ()))) - 1)
+         file
      | None -> ());
     if metrics then begin
       print_newline ();
@@ -591,21 +590,6 @@ let keygen_cmd =
 
 (* ---- verify ---- *)
 
-(* Aggregation SRS policy shared by [aggregate] and [verify --aggregate]:
-   derive both trapdoors from a seed. [Kzg.setup_g2]/[Kzg.setup] each
-   draw exactly one scalar before any degree-dependent work, so SRSes
-   from one seed are prefix-compatible: a verifier sized for any
-   [max_proofs >= n] reproduces the aggregator's commitment keys. *)
-let aggregation_srs ~seed ~n =
-  let rec np2 p = if p >= n then p else np2 (2 * p) in
-  Aggregate.setup (Random.State.make [| seed |]) ~max_proofs:(Stdlib.max 2 (np2 2))
-
-let srs_seed_arg =
-  Arg.(value & opt int 1
-       & info [ "srs-seed" ] ~docv:"SEED"
-           ~doc:"Seed the aggregation SRS trapdoors are derived from (must \
-                 match between $(b,aggregate) and $(b,verify --aggregate)).")
-
 (* Load a proof file and require it to target [kf]'s key. *)
 let load_proof_for kf proof_file =
   match load_proof_file proof_file with
@@ -637,12 +621,6 @@ let verify_cmd =
                    member; all must target the key file's key). The batch is \
                    checked with the backend's combined verifier; on rejection \
                    each member is re-verified alone and reported.")
-  in
-  let aggregate_file_arg =
-    Arg.(value & opt (some string) None
-         & info [ "aggregate" ] ~docv:"FILE"
-             ~doc:"Aggregate proof file from $(b,zkvc_cli aggregate); verified \
-                   with the SRS re-derived from $(b,--srs-seed).")
   in
   let verify_single kf proof_file =
     match load_proof_for kf proof_file with
@@ -685,124 +663,26 @@ let verify_cmd =
       if List.for_all Fun.id o.Batch.verdicts then 0 else 1
     end
   in
-  let verify_aggregate kf agg_file srs_seed =
-    match load_file Wire.decode_aggregate_file ~what:"aggregate" agg_file with
-    | None -> 2
-    | Some af ->
-      if af.Wire.af_key_id <> kf.Wire.kf_key_id then begin
-        Printf.eprintf
-          "zkvc_cli: aggregate was made for key %s but the key file holds %s\n"
-          (Wire.hex_of_id af.Wire.af_key_id)
-          (Wire.hex_of_id kf.Wire.kf_key_id);
-        2
-      end
-      else begin
-        match kf.Wire.kf_keys with
-        | Api.Spartan_keys _ ->
-          Printf.eprintf "zkvc_cli: aggregate proofs are Groth16-only\n";
-          2
-        | Api.Groth16_keys { vk; _ } ->
-          let srs =
-            aggregation_srs ~seed:srs_seed ~n:(List.length af.Wire.af_statements)
-          in
-          let ok =
-            try Aggregate.verify_aggregate srs vk af.Wire.af_statements af.Wire.af_proof
-            with Invalid_argument _ -> false
-          in
-          Printf.printf "aggregate of %d: verified: %b\n"
-            (List.length af.Wire.af_statements) ok;
-          if ok then 0 else 1
-      end
-  in
-  let run key_file proof_file batch_files aggregate_file srs_seed =
+  let run key_file proof_file batch_files =
     match load_key_file key_file with
     | None -> 2
     | Some kf -> (
-      match (proof_file, batch_files, aggregate_file) with
-      | Some pf, [], None -> verify_single kf pf
-      | None, (_ :: _ as files), None -> verify_batch kf files
-      | None, [], Some agg -> verify_aggregate kf agg srs_seed
-      | None, [], None ->
-        Printf.eprintf "zkvc_cli: give one of --proof, --batch or --aggregate\n";
+      match (proof_file, batch_files) with
+      | Some pf, [] -> verify_single kf pf
+      | None, (_ :: _ as files) -> verify_batch kf files
+      | None, [] ->
+        Printf.eprintf "zkvc_cli: give one of --proof or --batch\n";
         2
-      | _ ->
-        Printf.eprintf
-          "zkvc_cli: --proof, --batch and --aggregate are mutually exclusive\n";
+      | Some _, _ :: _ ->
+        Printf.eprintf "zkvc_cli: --proof and --batch are mutually exclusive\n";
         2)
   in
   let doc =
     "Verify proof files against a key file (no witness needed): one proof \
-     ($(b,--proof)), a batch sharing one combined check ($(b,--batch), \
-     repeated), or a SnarkPack-style aggregate ($(b,--aggregate))."
+     ($(b,--proof)) or a batch sharing one combined check ($(b,--batch), \
+     repeated)."
   in
-  Cmd.v (Cmd.info "verify" ~doc)
-    Term.(const run $ key_arg $ proof_arg $ batch_arg $ aggregate_file_arg
-          $ srs_seed_arg)
-
-(* ---- aggregate ---- *)
-
-let aggregate_cmd =
-  let key_arg =
-    Arg.(required & opt (some string) None
-         & info [ "key" ] ~docv:"FILE" ~doc:"Key file from $(b,keygen) (Groth16).")
-  in
-  let out_arg =
-    Arg.(required & opt (some string) None
-         & info [ "out" ] ~docv:"FILE" ~doc:"Write the aggregate proof file here.")
-  in
-  let proofs_arg =
-    Arg.(non_empty & pos_all string []
-         & info [] ~docv:"PROOF_FILE" ~doc:"Proof files to aggregate (in order).")
-  in
-  let run key_file out srs_seed proof_files =
-    match load_key_file key_file with
-    | None -> 2
-    | Some kf -> (
-      match kf.Wire.kf_keys with
-      | Api.Spartan_keys _ ->
-        Printf.eprintf "zkvc_cli: aggregation is Groth16-only\n";
-        2
-      | Api.Groth16_keys { vk; _ } ->
-        let pfs = List.map (load_proof_for kf) proof_files in
-        if List.exists (( = ) None) pfs then 2
-        else begin
-          let instances =
-            List.filter_map
-              (Option.map (fun pf ->
-                   match pf.Wire.pf_proof with
-                   | Api.Groth16_proof p -> (pf.Wire.pf_public_inputs, p)
-                   | Api.Spartan_proof _ ->
-                     (* unreachable: a Groth16 key id never matches a
-                        Spartan proof file *)
-                     invalid_arg "spartan proof under groth16 key"))
-              pfs
-          in
-          let srs = aggregation_srs ~seed:srs_seed ~n:(List.length instances) in
-          let agg = Aggregate.aggregate srs vk instances in
-          let individual_bytes =
-            List.fold_left
-              (fun acc (_, p) -> acc + Groth16.proof_size_bytes p)
-              0 instances
-          in
-          write_file out
-            (Wire.encode_aggregate_file
-               { Wire.af_key_id = kf.Wire.kf_key_id;
-                 af_statements = List.map fst instances;
-                 af_proof = agg });
-          Printf.printf "aggregate file: %s (%d proofs, %dB aggregate vs %dB individual)\n"
-            out (List.length instances)
-            (Aggregate.proof_size_bytes agg)
-            individual_bytes;
-          0
-        end)
-  in
-  let doc =
-    "Aggregate Groth16 proof files sharing one key into a single \
-     O(log N)-size SnarkPack-style proof (verify with $(b,zkvc_cli verify \
-     --aggregate))."
-  in
-  Cmd.v (Cmd.info "aggregate" ~doc)
-    Term.(const run $ key_arg $ out_arg $ srs_seed_arg $ proofs_arg)
+  Cmd.v (Cmd.info "verify" ~doc) Term.(const run $ key_arg $ proof_arg $ batch_arg)
 
 (* ---- serve ---- *)
 
@@ -897,11 +777,7 @@ let serve_cmd =
        timeouts, %d rejected, %d batched)\n"
       s.Wire.requests s.Wire.cache_hits s.Wire.cache_misses s.Wire.timeouts
       s.Wire.rejections s.Wire.batched;
-    (match trace with
-     | Some file ->
-       (try Obs.Export.write_chrome_trace file (Obs.Span.roots ())
-        with Sys_error msg -> Printf.eprintf "zkvc serve: cannot write trace: %s\n" msg)
-     | None -> ());
+    Option.iter write_trace trace;
     if metrics then print_string (Obs.Metrics.to_string ());
     0
   in
@@ -1000,10 +876,8 @@ let client_prove_cmd =
     (match trace with
      | Some file ->
        Obs.Sink.disable ();
-       (try
-          Obs.Export.write_chrome_trace file (Obs.Span.roots ());
-          Printf.printf "trace: %s\n" file
-        with Sys_error msg -> Printf.eprintf "zkvc_cli: cannot write trace: %s\n" msg)
+       write_trace file;
+       Printf.printf "trace: %s\n" file
      | None -> ());
     status
   in
@@ -1321,5 +1195,5 @@ let () =
     (Cmd.eval'
        (Cmd.group info
           [ count_cmd; prove_cmd; model_cmd; profile_cmd; gkr_cmd; keygen_cmd;
-            verify_cmd; aggregate_cmd; serve_cmd; client_cmd; top_cmd;
+            verify_cmd; serve_cmd; client_cmd; top_cmd;
             adversary_cmd ]))

@@ -7,7 +7,6 @@ module Spec = Mspec.Make (Fr)
 module Bld = Zkvc_r1cs.Builder.Make (Fr)
 module McM = Mc.Make (Fr)
 module Groth16 = Zkvc_groth16.Groth16
-module Aggregate = Zkvc_groth16.Aggregate
 module Spartan = Zkvc_spartan.Spartan
 module Wire = Zkvc_serve.Wire
 module Key_cache = Zkvc_serve.Key_cache
@@ -300,7 +299,7 @@ let crpc_cases col fx =
           (if backend_accepts then "accepts" else "rejects")
           (if fs_authentic then "MATCHES (forgery!)" else "fails authentication") ))
 
-(* ---- bit-flip machinery (shared by the wire and aggregate families) ---- *)
+(* ---- bit-flip machinery (used by the wire family) ---- *)
 
 let flip_bit bytes pos =
   let b = Bytes.copy bytes in
@@ -332,7 +331,7 @@ let flip_sweep ~rng ~flips bytes classify =
         flips !err !desc !reject
         (if !benign > 0 then Printf.sprintf ", %d benign" !benign else "") )
 
-(* ---- batch verification and SnarkPack aggregation attacks ---- *)
+(* ---- batch verification attacks ---- *)
 
 (* one-site proof tampering, backend-generic (used wherever a batch or
    key-file case needs "some corrupted member") *)
@@ -415,92 +414,6 @@ let batch_cases col fx =
       match Batch.verify_each fx.keys [] with
       | _ -> (Accepted, "empty batch produced a verdict")
       | exception Invalid_argument _ -> (Rejected_error "Invalid_argument", ""))
-
-let aggregate_cases col fx =
-  match fx.keys with
-  | Api.Spartan_keys _ -> ()
-  | Api.Groth16_keys { vk; _ } ->
-    (* two members keep the family affordable at ~40 pairings per verify;
-       the full 17-site tamper matrix at n=4 runs in test/test_snark.ml *)
-    let members =
-      List.map
-        (function
-          | io, Api.Groth16_proof p -> (io, p)
-          | _, Api.Spartan_proof _ -> assert false)
-        (batch_members fx 2)
-    in
-    let ios = List.map fst members in
-    let srs = Aggregate.setup (stream fx.t 16) ~max_proofs:2 in
-    let agg = Aggregate.aggregate srs vk members in
-    if not (Aggregate.verify_aggregate srs vk ios agg) then
-      emit col "aggregate" "honest" (fun () ->
-          (Crashed "honest aggregate rejected", ""))
-    else begin
-      (* one tamper site per proof-component class (commitment, Groth16
-         target, GIPA cross term, final vector element, KZG witness, MIPP
-         final) — the exhaustive per-site matrix runs in test_snark *)
-      let wanted =
-        [ "comm_a"; "z0"; "tipp.round[0].zl"; "tipp.a"; "tipp.v_wit"; "mipp.c" ]
-      in
-      List.iter
-        (fun site ->
-          let name = Aggregate.Mutate.site_name site in
-          if List.mem name wanted then
-            emit col "aggregate" ("tamper." ^ name) (fun () ->
-                let agg' = Aggregate.Mutate.apply site agg in
-                (verdict (Aggregate.verify_aggregate srs vk ios agg'), "")))
-        (Aggregate.Mutate.sites agg);
-      (* the honest aggregate replayed against a forged statement list *)
-      emit col "aggregate" "statement-forge" (fun () ->
-          let ios' =
-            match ios with
-            | (v :: tl0) :: tl -> (Fr.add v Fr.one :: tl0) :: tl
-            | _ -> assert false
-          in
-          (verdict (Aggregate.verify_aggregate srs vk ios' agg), ""));
-      (* one invalid member hidden inside an otherwise honest aggregation:
-         compression must not launder it into an accepted proof *)
-      emit col "aggregate" "bad-member" (fun () ->
-          let io1, p1 = List.nth members 1 in
-          let members' =
-            replace_nth members 1 (io1, Groth16.Mutate.apply Groth16.Mutate.C_bump p1)
-          in
-          let agg' = Aggregate.aggregate srs vk members' in
-          (verdict (Aggregate.verify_aggregate srs vk ios agg'), ""));
-      (* a wrong-seed SRS: the verifier's structured keys no longer match
-         the ones the proof was built against *)
-      emit col "aggregate" "srs-mismatch" (fun () ->
-          let srs' = Aggregate.setup (stream fx.t 17) ~max_proofs:2 in
-          (verdict (Aggregate.verify_aggregate srs' vk ios agg), ""));
-      (* bit flips over the aggregate-file codec: every flip must end in a
-         typed decode error, a key-id mismatch, or a false verdict *)
-      emit col "aggregate" "file-bitflip" (fun () ->
-          let key_id =
-            Key_cache.id_of ?opt:fx.opt fx.t.backend fx.t.strategy fx.t.dims fx.prep
-          in
-          let af =
-            { Wire.af_key_id = key_id; af_statements = ios; af_proof = agg }
-          in
-          let honest_blob = Aggregate.proof_to_bytes agg in
-          let bytes = Wire.encode_aggregate_file af in
-          flip_sweep ~rng:(stream fx.t 18) ~flips:12 bytes (fun b ->
-              match Wire.decode_aggregate_file b with
-              | Error _ -> `Err
-              | Ok af' ->
-                if af'.Wire.af_key_id <> key_id then `Desc
-                else if
-                  Aggregate.verify_aggregate srs vk af'.Wire.af_statements
-                    af'.Wire.af_proof
-                then begin
-                  let unchanged =
-                    List.length af'.Wire.af_statements = List.length ios
-                    && List.for_all2 io_equal af'.Wire.af_statements ios
-                    && Bytes.equal (Aggregate.proof_to_bytes af'.Wire.af_proof) honest_blob
-                  in
-                  if unchanged then `Benign else `Accept
-                end
-                else `Reject))
-    end
 
 (* ---- wire-level attacks through the Zkvc_serve codecs ---- *)
 
@@ -717,7 +630,6 @@ let run_target ?only ?optimize t =
   witness_cases col fx;
   if Mc.uses_challenge t.strategy then crpc_cases col fx;
   batch_cases col fx;
-  aggregate_cases col fx;
   wire_cases col fx;
   { target = t; honest_verified = honest && honest_ipa; cases = List.rev col.acc }
 

@@ -36,13 +36,6 @@
       statements swapped between well-formed members must reject,
       wrong-arity members must be flagged as attributable malformed
       faults, and the empty batch must refuse to produce a verdict;
-    - [aggregate] — attacks on SnarkPack-style aggregation
-      ({!Zkvc_groth16.Aggregate}, Groth16 targets only): every
-      commitment, GIPA round, final value and KZG witness in the
-      aggregate proof bumped one at a time, the honest aggregate
-      replayed against forged statements, one invalid member hidden in
-      an otherwise honest aggregation, a wrong-seed SRS, and bit flips
-      over the aggregate-file codec;
     - [wire] — bit-flipped proof files, key files and request/response
       frames (including trace/timing blocks, the [Status_detail]
       operation and [Batch_verify] requests) pushed

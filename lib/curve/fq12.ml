@@ -105,19 +105,4 @@ let of_twist_y y' = make Fq6.zero (Fq6.make Fq2.zero y' Fq2.zero)
 
 let random st = make (Fq6.random st) (Fq6.random st)
 
-(* Canonical encoding: the six Fq2 coefficients in tower order
-   (c0.c0, c0.c1, c0.c2, c1.c0, c1.c1, c1.c2), 64 bytes each. *)
-let size_in_bytes = 6 * Fq2.size_in_bytes
-
-let to_bytes a =
-  Bytes.concat Bytes.empty
-    [ Fq2.to_bytes a.c0.Fq6.c0; Fq2.to_bytes a.c0.Fq6.c1; Fq2.to_bytes a.c0.Fq6.c2;
-      Fq2.to_bytes a.c1.Fq6.c0; Fq2.to_bytes a.c1.Fq6.c1; Fq2.to_bytes a.c1.Fq6.c2 ]
-
-let of_bytes_exn b =
-  if Bytes.length b <> size_in_bytes then invalid_arg "Fq12.of_bytes_exn: bad length";
-  let w = Fq2.size_in_bytes in
-  let fq2 i = Fq2.of_bytes_exn (Bytes.sub b (i * w) w) in
-  make (Fq6.make (fq2 0) (fq2 1) (fq2 2)) (Fq6.make (fq2 3) (fq2 4) (fq2 5))
-
 let pp fmt a = Format.fprintf fmt "[%a; %a]" Fq6.pp a.c0 Fq6.pp a.c1

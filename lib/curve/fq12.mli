@@ -46,14 +46,4 @@ val of_twist_y : Fq2.t -> t
 
 val random : Random.State.t -> t
 
-(** Canonical 384-byte encoding (six Fq2 coefficients in tower order) —
-    used to absorb pairing-target elements into Fiat–Shamir transcripts
-    and to serialise aggregated-proof commitments. *)
-val size_in_bytes : int
-
-val to_bytes : t -> Bytes.t
-
-(** Raises [Invalid_argument] on wrong length or non-canonical limbs. *)
-val of_bytes_exn : Bytes.t -> t
-
 val pp : Format.formatter -> t -> unit

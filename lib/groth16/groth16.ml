@@ -307,13 +307,11 @@ let prove st pk qap assignment =
   Gc.major ();
   { a; b = b2; c }
 
-(* Read-only component accessors for protocols layered on top of plain
-   verification (the SnarkPack-style aggregator in Aggregate). *)
+(* Read-only components of the unprepared verification equation. *)
 let vk_alpha vk = vk.vk_alpha_g1
 let vk_beta vk = vk.vk_beta_g2
 let vk_gamma vk = vk.vk_gamma_g2
 let vk_delta vk = vk.vk_delta_g2
-let vk_num_inputs vk = Array.length vk.vk_ic - 1
 
 let ic_sum vk public_inputs =
   let n = Array.length vk.vk_ic - 1 in

@@ -80,19 +80,19 @@ val verify_batch : verifying_key -> (Fr.t list * proof) list -> batch_result
 
 (** {2 Verifying-key components}
 
-    Read-only accessors for protocols layered on top of the plain
-    verifier — the SnarkPack-style aggregator ({!Aggregate}) re-derives
-    the right-hand side of the Groth16 equation from these. *)
+    Read-only accessors for the unprepared verification equation
+    e(A,B) = e(α,β)·e(IC,γ)·e(C,δ): with {!ic_sum} they let a check
+    rebuild it pair by pair, against the prepared lines {!verify}
+    uses. *)
 
 val vk_alpha : verifying_key -> Zkvc_curve.G1.t
 val vk_beta : verifying_key -> Zkvc_curve.G2.t
 val vk_gamma : verifying_key -> Zkvc_curve.G2.t
 val vk_delta : verifying_key -> Zkvc_curve.G2.t
-val vk_num_inputs : verifying_key -> int
 
 (** [ic_sum vk io = IC_0 + Σ io_i·IC_i] — the public-input term of the
     verification equation, as one Pippenger MSM. Raises
-    [Invalid_argument] unless [io] has {!vk_num_inputs} entries. *)
+    [Invalid_argument] unless [io] has one entry per public input. *)
 val ic_sum : verifying_key -> Fr.t list -> Zkvc_curve.G1.t
 
 (** {2 Key wire encodings}

@@ -97,14 +97,3 @@ let to_chrome_trace spans =
     [ ("traceEvents", Json.List events);
       ("displayTimeUnit", Json.String "ms");
       ("otherData", Json.Obj [ ("producer", Json.String "zkvc_obs") ]) ]
-
-(* ------------------------------------------------------------------ *)
-
-let write_file path contents =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc contents)
-
-let write_chrome_trace path spans =
-  write_file path (Json.to_string (to_chrome_trace spans))

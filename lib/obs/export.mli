@@ -15,6 +15,3 @@ val tree_to_string : Span.t list -> string
 val to_jsonl : Span.t list -> string
 
 val to_chrome_trace : Span.t list -> Json.t
-
-(** [write_chrome_trace path spans] = compact {!to_chrome_trace} to a file. *)
-val write_chrome_trace : string -> Span.t list -> unit

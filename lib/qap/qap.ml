@@ -49,8 +49,8 @@ module Make (F : Zkvc_field.Field_intf.S) = struct
 
   (** Sparsity of the QAP column families over the padded row set: R1CS
       matrix nonzeros plus the [num_inputs + 1] input-consistency rows on
-      the A side. The bench's cost ledger and the [qap.*] metric gauges
-      read these. *)
+      the A side. [Api.keygen] publishes these as the [qap.*] gauges;
+      [zkvc_cli profile] reconciles its per-region nnz ledger with them. *)
   type density =
     { rows : int;
       domain : int;

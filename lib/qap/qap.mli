@@ -22,11 +22,13 @@ module Make (F : Zkvc_field.Field_intf.S) : sig
   (** Number of quotient coefficients: [domain_size − 1]. *)
   val h_length : t -> int
 
-  (** Sparsity of the QAP column families — the counts the bench's cost
-      ledger records. [nnz_a/b/c] are nonzero entries per matrix over the
-      {e padded} row set, i.e. the R1CS counts plus the [num_inputs + 1]
-      input-consistency rows appended to A; [rows] is that padded row
-      count and [domain] the power-of-two it is rounded up to. Fewer
+  (** Sparsity of the QAP column families — the counts [Api.keygen]
+      publishes as [qap.*] gauges and that [zkvc_cli profile]'s
+      per-region nnz ledger reconciles with. [nnz_a/b/c] are nonzero
+      entries per matrix over the {e padded} row set, i.e. the R1CS
+      counts plus the [num_inputs + 1] input-consistency rows appended
+      to A; [rows] is that padded row count and [domain] the
+      power-of-two it is rounded up to. Fewer
       A-side nonzeros (the paper's "left wires", reduced by PSQ) mean
       sparser interpolated A-polynomials and a cheaper prover. *)
   type density =

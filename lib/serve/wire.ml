@@ -865,49 +865,4 @@ let decode_key_file bytes =
     Ok { kf_backend; kf_strategy; kf_dims; kf_challenge; kf_opt; kf_key_id; kf_keys }
   with Fail e -> Error e
 
-(* ---------------- aggregate proof files ---------------- *)
-
-type aggregate_file =
-  { af_key_id : string;
-    af_statements : Fr.t list list;
-    af_proof : Zkvc_groth16.Aggregate.proof }
-
-let aggregate_file_magic = "ZKVA"
-
-(* Aggregate files hold GT elements, the values of the pairing itself, so
-   their version follows the pairing as well as the layout: version 4
-   marks the optimal-ate pairing. Files of versions 1–3 hold values of the
-   earlier reduced Tate pairing and could never verify now; they are
-   refused as unsupported rather than failing the check. *)
-let aggregate_file_version = 4
-
-let encode_aggregate_file af =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf aggregate_file_magic;
-  w_u8 buf aggregate_file_version;
-  w_key_id buf af.af_key_id;
-  w_u32 buf (List.length af.af_statements);
-  List.iter (w_fr_list buf) af.af_statements;
-  w_lp_bytes buf (Zkvc_groth16.Aggregate.proof_to_bytes af.af_proof);
-  Buffer.to_bytes buf
-
-let decode_aggregate_file bytes =
-  try
-    let c = cursor_of_bytes bytes in
-    check_magic c aggregate_file_magic;
-    let v = r_u8 c in
-    if v <> aggregate_file_version then fail (Unsupported_version v);
-    let af_key_id = r_key_id c in
-    let n = r_u32 c in
-    if n > 0xffff then fail (Oversized n);
-    let af_statements = List.init n (fun _ -> r_fr_list c) in
-    let af_proof =
-      let b = r_lp_bytes c in
-      try Zkvc_groth16.Aggregate.proof_of_bytes_exn b
-      with Invalid_argument msg -> fail (Malformed msg)
-    in
-    finished c "aggregate file";
-    Ok { af_key_id; af_statements; af_proof }
-  with Fail e -> Error e
-
 let hex_of_id id = Sha256.to_hex (Bytes.of_string id)

@@ -227,20 +227,5 @@ type key_file =
 val encode_key_file : key_file -> Bytes.t
 val decode_key_file : Bytes.t -> (key_file, error) result
 
-(** One SnarkPack-style aggregate proof ({!Zkvc_groth16.Aggregate}) plus
-    the statements it covers — verifiable with the matching key file and
-    the aggregation SRS (re-derived from its seed). Groth16-only: the
-    aggregation protocol is specific to the pairing-based verifier.
-    The file carries its own version byte, tied to the pairing whose
-    values it stores: files written under the earlier Tate pairing
-    (versions 1–3) decode to [Error (Unsupported_version v)]. *)
-type aggregate_file =
-  { af_key_id : string;
-    af_statements : Fr.t list list;  (** per-instance public inputs, in order *)
-    af_proof : Zkvc_groth16.Aggregate.proof }
-
-val encode_aggregate_file : aggregate_file -> Bytes.t
-val decode_aggregate_file : Bytes.t -> (aggregate_file, error) result
-
 (** Lowercase hex of a 32-byte key id (for display and file names). *)
 val hex_of_id : string -> string

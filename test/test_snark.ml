@@ -264,132 +264,8 @@ let batch_tests =
           (Printf.sprintf "batch %.3fs < sequential %.3fs" t_batch t_seq)
           true (t_batch < t_seq)) ]
 
-(* ---------------- SnarkPack-style aggregation ---------------- *)
-
-module Aggregate = Zkvc_groth16.Aggregate
-
-let aggregate_tests =
-  (* One shared setup for the whole suite: a circuit, its keys, an
-     aggregation SRS for up to 8 proofs, and a pool of valid instances. *)
-  let setup_once =
-    lazy
-      (let b, _ = cubic_circuit 3 in
-       let cs, _ = Bld.finalize b in
-       let qap = Qap.create cs in
-       let pk, vk = Groth16.setup st qap in
-       let srs = Aggregate.setup st ~max_proofs:8 in
-       let make x =
-         let b, out = cubic_circuit x in
-         let _, assignment = Bld.finalize b in
-         ([ out ], Groth16.prove st pk qap assignment)
-       in
-       (vk, srs, List.map make [ 2; 3; 5; 7; 11 ]))
-  in
-  [ Alcotest.test_case "aggregate roundtrip (incl. padding)" `Slow (fun () ->
-        let vk, srs, instances = Lazy.force setup_once in
-        (* n = 5 exercises the pad-to-8 path; n = 4 the exact-power path;
-           n = 1 pads to the minimum batch of 2 *)
-        List.iter
-          (fun n ->
-            let insts = List.filteri (fun i _ -> i < n) instances in
-            let agg = Aggregate.aggregate srs vk insts in
-            check_bool
-              (Printf.sprintf "aggregate of %d verifies" n)
-              true
-              (Aggregate.verify_aggregate srs vk (List.map fst insts) agg))
-          [ 1; 4; 5 ]);
-    Alcotest.test_case "aggregate rejects wrong statement" `Slow (fun () ->
-        let vk, srs, instances = Lazy.force setup_once in
-        let agg = Aggregate.aggregate srs vk instances in
-        let ios = List.map fst instances in
-        check_bool "honest statements accepted" true
-          (Aggregate.verify_aggregate srs vk ios agg);
-        let bad_ios =
-          match ios with
-          | io :: rest -> [ Fr.add (List.hd io) Fr.one ] :: rest
-          | [] -> assert false
-        in
-        check_bool "corrupted statement rejected" false
-          (Aggregate.verify_aggregate srs vk bad_ios agg);
-        check_bool "statement count mismatch rejected" false
-          (Aggregate.verify_aggregate srs vk (List.tl ios) agg));
-    Alcotest.test_case "aggregate of one invalid member rejects" `Slow (fun () ->
-        let vk, srs, instances = Lazy.force setup_once in
-        (* aggregation itself must not detect anything (it never verifies
-           members); the verifier must *)
-        let bad =
-          match instances with
-          | (io, p) :: rest ->
-            (io, { p with Groth16.c = G1.add p.Groth16.c G1.generator }) :: rest
-          | [] -> assert false
-        in
-        let agg = Aggregate.aggregate srs vk bad in
-        check_bool "aggregate of corrupt member rejected" false
-          (Aggregate.verify_aggregate srs vk (List.map fst bad) agg));
-    Alcotest.test_case "wire roundtrip" `Slow (fun () ->
-        let vk, srs, instances = Lazy.force setup_once in
-        let agg = Aggregate.aggregate srs vk instances in
-        let bytes = Aggregate.proof_to_bytes agg in
-        Alcotest.(check int)
-          "declared size matches" (Bytes.length bytes)
-          (Aggregate.proof_size_bytes agg);
-        let agg' = Aggregate.proof_of_bytes_exn bytes in
-        check_bool "decoded proof verifies" true
-          (Aggregate.verify_aggregate srs vk (List.map fst instances) agg');
-        (* truncation and trailing garbage must raise *)
-        check_bool "truncated raises" true
-          (match
-             Aggregate.proof_of_bytes_exn (Bytes.sub bytes 0 (Bytes.length bytes - 1))
-           with
-          | exception Invalid_argument _ -> true
-          | _ -> false);
-        check_bool "trailing byte raises" true
-          (match
-             Aggregate.proof_of_bytes_exn (Bytes.cat bytes (Bytes.make 1 '\000'))
-           with
-          | exception Invalid_argument _ -> true
-          | _ -> false));
-    Alcotest.test_case "aggregate file: Tate-era versions refused" `Slow (fun () ->
-        let module Wire = Zkvc_serve.Wire in
-        let vk, srs, instances = Lazy.force setup_once in
-        let agg = Aggregate.aggregate srs vk instances in
-        let ios = List.map fst instances in
-        let bytes =
-          Wire.encode_aggregate_file
-            { Wire.af_key_id = String.make 32 'k'; af_statements = ios; af_proof = agg }
-        in
-        (match Wire.decode_aggregate_file bytes with
-         | Ok af ->
-           check_bool "decoded aggregate verifies" true
-             (Aggregate.verify_aggregate srs vk af.Wire.af_statements af.Wire.af_proof)
-         | Error e -> Alcotest.fail (Wire.error_to_string e));
-        (* byte 4, after the magic, is the version *)
-        List.iter
-          (fun v ->
-            let old = Bytes.copy bytes in
-            Bytes.set old 4 (Char.chr v);
-            check_bool
-              (Printf.sprintf "version %d refused" v)
-              true
-              (Wire.decode_aggregate_file old = Error (Wire.Unsupported_version v)))
-          [ 1; 2; 3 ]);
-    Alcotest.test_case "every mutation site rejected" `Slow (fun () ->
-        let vk, srs, instances = Lazy.force setup_once in
-        let insts = List.filteri (fun i _ -> i < 4) instances in
-        let agg = Aggregate.aggregate srs vk insts in
-        let ios = List.map fst insts in
-        List.iter
-          (fun site ->
-            let mutated = Aggregate.Mutate.apply site agg in
-            check_bool
-              (Printf.sprintf "mutated %s rejected" (Aggregate.Mutate.site_name site))
-              false
-              (Aggregate.verify_aggregate srs vk ios mutated))
-          (Aggregate.Mutate.sites agg)) ]
-
 let () =
   Alcotest.run "zkvc_snark"
     [ ("qap", qap_tests);
       ("groth16", groth16_tests);
-      ("batch", batch_tests);
-      ("aggregate", aggregate_tests) ]
+      ("batch", batch_tests) ]

@@ -28,17 +28,7 @@ module Make (F : Zkvc_field.Field_intf.S) = struct
     let x, w = random_statement rng ~bound d in
     (rng, x, w)
 
-  let multiply x w =
-    let a = Array.length x and n = Array.length w in
-    if n = 0 || Array.length x.(0) <> n then invalid_arg "Matmul_spec.multiply: dims";
-    let b = Array.length w.(0) in
-    Array.init a (fun i ->
-        Array.init b (fun j ->
-            let acc = ref F.zero in
-            for k = 0 to n - 1 do
-              acc := F.add !acc (F.mul x.(i).(k) w.(k).(j))
-            done;
-            !acc))
+  let multiply = F.mat_mul
 
   let check_dims d x w =
     Array.length x = d.a

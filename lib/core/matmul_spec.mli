@@ -28,7 +28,8 @@ module Make (F : Zkvc_field.Field_intf.S) : sig
     seed:int -> bound:int -> dims ->
     Random.State.t * F.t array array * F.t array array
 
-  (** Reference product. Raises [Invalid_argument] on dimension mismatch. *)
+  (** The product, by {!Zkvc_field.Field_intf.S.mat_mul}. Raises
+      [Invalid_argument] on dimension mismatch. *)
   val multiply : F.t array array -> F.t array array -> F.t array array
 
   val check_dims : dims -> F.t array array -> F.t array array -> bool

@@ -20,7 +20,7 @@ struct
 
   let scalar_bits = 254
 
-  let create ?(window = 8) base =
+  let create ?(window = 8) ?normalize base =
     let nwin = (scalar_bits + window - 1) / window in
     let base_w = ref base in
     let rows =
@@ -36,6 +36,14 @@ struct
           done;
           row)
     in
+    Option.iter
+      (fun f ->
+        (* one call over every row, so one inversion serves the table *)
+        let all = Array.concat (Array.to_list rows) in
+        f all;
+        let row_len = (1 lsl window) - 1 in
+        Array.iteri (fun w row -> Array.blit all (w * row_len) row 0 row_len) rows)
+      normalize;
     { window; rows }
 
   let mul_bigint t s =

@@ -12,8 +12,11 @@ module Make (G : sig
 end) : sig
   type table
 
-  (** Precompute the window table for a base point. *)
-  val create : ?window:int -> G.t -> table
+  (** Precompute the window table for a base point. [normalize], when
+      given, rewrites the finished table's points in place, in one call
+      over all of them: [G1.normalize] makes them affine, so each
+      addition in {!mul} takes the mixed formula. *)
+  val create : ?window:int -> ?normalize:(G.t array -> unit) -> G.t -> table
 
   (** Raises [Invalid_argument] on a negative scalar or one wider than
       254 bits, the width the table covers. *)

@@ -39,6 +39,12 @@ module type S = sig
 
   val div : t -> t -> t
 
+  (** [mat_mul x w] is the matrix product X·W of an [a×n] and an [n×b]
+      matrix: entry (i, j) is Σ_t x.(i).(t)·w.(t).(j), the same element
+      as folding [mul] products with [add]. Raises [Invalid_argument]
+      when [n = 0] or a row has the wrong length. *)
+  val mat_mul : t array array -> t array array -> t array array
+
   (** [pow x e] with non-negative big-integer exponent [e]. *)
   val pow : t -> Zkvc_num.Bigint.t -> t
 
@@ -60,3 +66,14 @@ module type S = sig
 
   val pp : Format.formatter -> t -> unit
 end
+
+(** [mat_mul_dims x w] is [(a, n, b)] for the product of an [a×n] [x] by
+    an [n×b] [w]: the shape check every {!S.mat_mul} makes first. *)
+let mat_mul_dims x w =
+  let n = Array.length w in
+  if n = 0 then invalid_arg "mat_mul: empty inner dimension";
+  let b = Array.length w.(0) in
+  if Array.exists (fun row -> Array.length row <> n) x
+     || Array.exists (fun row -> Array.length row <> b) w
+  then invalid_arg "mat_mul: dimensions";
+  (Array.length x, n, b)

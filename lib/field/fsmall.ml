@@ -59,6 +59,20 @@ let pow_int base e = pow base (Bigint.of_int e)
 let inv a = if a = 0 then raise Division_by_zero else pow_int a (p - 2)
 let div a b = mul a (inv b)
 
+(* a product of two entries is below p² < 2^62 and the running sum below
+   p, so one [mod] per term keeps every intermediate a native int *)
+let mat_mul x w =
+  let _, n, b = Field_intf.mat_mul_dims x w in
+  Array.map
+    (fun row ->
+      Array.init b (fun j ->
+          let acc = ref 0 in
+          for t = 0 to n - 1 do
+            acc := (!acc + (row.(t) * w.(t).(j))) mod p
+          done;
+          !acc))
+    x
+
 let two_adicity = 27
 
 (* 31 generates the multiplicative group; 31^15 has order exactly 2^27. *)

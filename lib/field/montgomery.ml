@@ -171,6 +171,85 @@ end) : Field_intf.S = struct
   let sqr a = mont_mul a a
   let double a = add a a
 
+  (* R³ mod p as raw limbs: [mont_mul h r3] is h·R² in Montgomery form *)
+  let r3 =
+    let r = Bigint.shift_left Bigint.one (limb_bits * k) in
+    limbs_of_bigint (Bigint.erem (Bigint.mul r (Bigint.mul r r)) modulus)
+
+  (* Inner terms one reduction covers: a sum of [chunk] products of
+     canonical values is below chunk·2^(2·bits) = R², so it splits into
+     lo + hi·R with lo, hi < R (4096 terms at 254 bits). *)
+  let mat_mul_chunk = 1 lsl (2 * ((limb_bits * k) - bits))
+
+  (* Terms between carry normalisations: a normalised column (< 2^26)
+     plus [carry_every] terms of at most k limb products below 2^52 each
+     stays below 2^62. *)
+  let carry_every = 64
+  let () = assert (carry_every * k < 1 lsl (62 - (2 * limb_bits)))
+
+  (* Lazily reduced matrix product. Every entry leaves Montgomery form
+     once, into canonical limbs (X row-major, W column-major) with its
+     count of significant limbs. Output (i, j) then sums its n limb
+     products schoolbook-style into 2k native-int columns, over only the
+     significant limbs of each operand, carrying every [carry_every]
+     terms. The integer sum T = lo + hi·R (below R² per chunk) returns to
+     Montgomery form with two multiplications, T·R = mont_mul(lo, R²) +
+     mont_mul(hi, R³), the second skipped when hi = 0; chunks, if any,
+     are added. Every step is exact, so the result is the canonical
+     element the mul/add loop gives. Its time depends on the entries'
+     limb lengths. The accesses below stay inside xs, ws (offsets e·k + l
+     with l < k) and acc (l + m < 2k) by construction. *)
+  let mat_mul x w =
+    let a, n, b = Field_intf.mat_mul_dims x w in
+    let xs = Array.make (a * n * k) 0 and xlen = Array.make (a * n) 0 in
+    let ws = Array.make (b * n * k) 0 and wlen = Array.make (b * n) 0 in
+    let load limbs lens e v =
+      let c = mont_mul v one_raw in
+      Array.blit c 0 limbs (e * k) k;
+      let l = ref k in
+      while !l > 0 && c.(!l - 1) = 0 do decr l done;
+      lens.(e) <- !l
+    in
+    Array.iteri (fun i row -> Array.iteri (fun t v -> load xs xlen ((i * n) + t) v) row) x;
+    Array.iteri (fun t row -> Array.iteri (fun j v -> load ws wlen ((j * n) + t) v) row) w;
+    let acc = Array.make (2 * k) 0 in
+    let normalise () =
+      let carry = ref 0 in
+      for c = 0 to (2 * k) - 1 do
+        let s = Array.unsafe_get acc c + !carry in
+        Array.unsafe_set acc c (s land limb_mask);
+        carry := s lsr limb_bits
+      done
+    in
+    (* Σ_{t0 <= t < t1} x_it·w_tj, back in Montgomery form *)
+    let chunk i j t0 t1 =
+      Array.fill acc 0 (2 * k) 0;
+      for t = t0 to t1 - 1 do
+        let xe = (i * n) + t and we = (j * n) + t in
+        let xo = xe * k and wo = we * k and lw = Array.unsafe_get wlen we in
+        for l = 0 to Array.unsafe_get xlen xe - 1 do
+          let xv = Array.unsafe_get xs (xo + l) in
+          for m = 0 to lw - 1 do
+            Array.unsafe_set acc (l + m)
+              (Array.unsafe_get acc (l + m) + (xv * Array.unsafe_get ws (wo + m)))
+          done
+        done;
+        if (t - t0) land (carry_every - 1) = carry_every - 1 then normalise ()
+      done;
+      normalise ();
+      let y = mont_mul (Array.sub acc 0 k) r2 in
+      let hi = Array.sub acc k k in
+      if Array.for_all (( = ) 0) hi then y else add y (mont_mul hi r3)
+    in
+    Array.init a (fun i ->
+        Array.init b (fun j ->
+            let rec from t0 =
+              let t1 = Stdlib.min n (t0 + mat_mul_chunk) in
+              let y = chunk i j t0 t1 in
+              if t1 < n then add y (from t1) else y
+            in
+            from 0))
+
   let pow base e =
     if Bigint.sign e < 0 then invalid_arg "Montgomery.pow: negative exponent";
     let nb = Bigint.num_bits e in

@@ -56,18 +56,6 @@ let dims_of a b =
   if n_a <> n_b then invalid_arg "Thaler_matmul: inner dimensions differ";
   (log2_ceil (Array.length a), log2_ceil n_a, log2_ceil cols_b)
 
-let multiply a b =
-  let n = Array.length b and cols = Array.length b.(0) in
-  Array.map
-    (fun row ->
-      Array.init cols (fun j ->
-          let acc = ref Fr.zero in
-          for k = 0 to n - 1 do
-            acc := Fr.add !acc (Fr.mul row.(k) b.(k).(j))
-          done;
-          !acc))
-    a
-
 let transcript_setup ~mu1 ~nu ~mu2 c =
   let tr = T.create ~label:"zkvc.thaler.matmul" in
   T.absorb_int tr ~label:"mu1" mu1;
@@ -87,7 +75,7 @@ let fold_prefix table vars point =
 
 let prove ~a ~b =
   let mu1, nu, mu2 = dims_of a b in
-  let c = multiply a b in
+  let c = Fr.mat_mul a b in
   let tr, rx, ry = transcript_setup ~mu1 ~nu ~mu2 c in
   (* Ax(k) = Ã(rx, k);  By(k) = B̃(k, ry) via the transpose trick *)
   let ax = fold_prefix (mle_table a ~rows_log:mu1 ~cols_log:nu) mu1 rx in

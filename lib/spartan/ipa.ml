@@ -41,8 +41,14 @@ let prove key tr ~a ~b =
     let al = Array.sub a 0 half and ar = Array.sub a half half in
     let bl = Array.sub b 0 half and br = Array.sub b half half in
     let gl = Array.sub g 0 half and gr = Array.sub g half half in
-    let l = G1.add (Msm.msm gr al) (G1.mul_fr q_generator (inner al br)) in
-    let r = G1.add (Msm.msm gl ar) (G1.mul_fr q_generator (inner ar bl)) in
+    let lr =
+      [| G1.add (Msm.msm gr al) (G1.mul_fr q_generator (inner al br));
+         G1.add (Msm.msm gl ar) (G1.mul_fr q_generator (inner ar bl)) |]
+    in
+    (* one inversion makes both affine, for their encodings here and in
+       the proof *)
+    G1.normalize lr;
+    let l = lr.(0) and r = lr.(1) in
     T.absorb_bytes tr ~label:"ipa-l" (G1.to_bytes l);
     T.absorb_bytes tr ~label:"ipa-r" (G1.to_bytes r);
     let u = nonzero_challenge tr in

@@ -39,7 +39,9 @@ type key =
    the key so a cache of several keys holds it once. Window 3 makes
    blind·U at most 85 additions instead of 254 doublings and ~127
    additions, for a 595-point table; window 4 (960 points) was no faster
-   per commitment and cost a proof server about 1.7× the resident memory. *)
+   per commitment and cost a proof server about 1.7× the resident memory.
+   The table is normalised to affine once, when it is built, so each of
+   those additions takes the mixed formula. *)
 let blinder_window = 3
 let blinder_table : (G1.t * Fb.table) option Atomic.t = Atomic.make None
 
@@ -48,7 +50,8 @@ let standard_blinder () =
   | Some s -> s
   | None ->
     let u = hash_to_point "blinder" in
-    ignore (Atomic.compare_and_set blinder_table None (Some (u, Fb.create ~window:blinder_window u)));
+    let table = Fb.create ~window:blinder_window ~normalize:G1.normalize u in
+    ignore (Atomic.compare_and_set blinder_table None (Some (u, table)));
     Option.get (Atomic.get blinder_table)
 
 let create_key n =

@@ -27,16 +27,22 @@ module Make (F : Zkvc_field.Field_intf.S) = struct
       t.entries;
     out
 
-  (** Fold the rows with weights [w] (length 2^µ): returns the length-2^ν
-      vector [wᵀ·M]. Used to build the phase-two sumcheck table
-      [y ↦ Σ_x eq̃(rx,x) M̃(x,y)]. *)
-  let fold_rows t w =
-    if Array.length w <> 1 lsl t.mu then invalid_arg "Sparse_matrix.fold_rows: length";
-    let out = Array.make (1 lsl t.nu) F.zero in
+  (** [fold_rows t ~scale w acc] adds [scale·(wᵀ·M)] into [acc]. The
+      scaled weight scale·w.(row) is taken once per run of entries in
+      one row (entries come grouped by row), so rows without entries
+      cost nothing. *)
+  let fold_rows t ~scale w acc =
+    if Array.length w <> 1 lsl t.mu || Array.length acc <> 1 lsl t.nu then
+      invalid_arg "Sparse_matrix.fold_rows: length";
+    let last = ref (-1) and weight = ref F.zero in
     List.iter
-      (fun { row; col; value } -> out.(col) <- F.add out.(col) (F.mul value w.(row)))
-      t.entries;
-    out
+      (fun { row; col; value } ->
+        if row <> !last then begin
+          last := row;
+          weight := F.mul scale w.(row)
+        end;
+        acc.(col) <- F.add acc.(col) (F.mul value !weight))
+      t.entries
 
   (** Evaluate the MLE at (rx, ry) from the tables [row_w = eq̃(rx,·)]
       (length 2^µ) and [col_w = eq̃(ry,·)] (length 2^ν):

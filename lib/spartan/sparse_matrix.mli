@@ -14,9 +14,13 @@ module Make (F : Zkvc_field.Field_intf.S) : sig
   (** [mul_vec t z] is the length-2^µ vector [M·z]. *)
   val mul_vec : t -> F.t array -> F.t array
 
-  (** [fold_rows t w] is the length-2^ν vector [wᵀ·M] — used to build the
-      phase-two sumcheck table [y ↦ Σ_x eq̃(rx,x)·M̃(x,y)]. *)
-  val fold_rows : t -> F.t array -> F.t array
+  (** [fold_rows t ~scale w acc] adds the row fold [scale·(wᵀ·M)]
+      (length 2^ν) into [acc]: one multiplication per nonzero, plus one
+      per run of same-row entries for the scaled weight. Spartan builds
+      its phase-two table [y ↦ Σ_x eq̃(rx,x)·(ra·Ã + rb·B̃ + rc·C̃)(x,y)]
+      as three folds into one vector, scaled by ra, rb and rc. Raises
+      [Invalid_argument] unless [w] has length 2^µ and [acc] length 2^ν. *)
+  val fold_rows : t -> scale:F.t -> F.t array -> F.t array -> unit
 
   (** [eval_tables t ~row_w ~col_w] is Ã(rx, ry) given the tables
       [row_w = eq̃(rx,·)] (length 2^µ) and [col_w = eq̃(ry,·)] (length 2^ν):

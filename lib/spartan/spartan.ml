@@ -319,16 +319,16 @@ let prove ?(opening_mode = `Hyrax_fold) st key t assignment =
   let rc = Ch.challenge tr ~label:"rc" in
   let mx =
     Span.with_span "prove.matrix_fold" (fun () ->
-        let weights = Ml.evals (Ml.eq_table rx) in
-        let ma = Sm.fold_rows t.a weights
-        and mb = Sm.fold_rows t.b weights
-        and mc = Sm.fold_rows t.c weights in
-        let combine j =
-          Fr.add (Fr.mul ra ma.(j)) (Fr.add (Fr.mul rb mb.(j)) (Fr.mul rc mc.(j)))
-        in
-        let n = 2 * t.half in
-        if Parallel.jobs () > 1 && n >= 1024 then Parallel.parallel_init n combine
-        else Array.init n combine)
+        (* one vector, the three matrices folded into it with weights
+           ra·eq̃(rx,·), rb·eq̃(rx,·) and rc·eq̃(rx,·), scaled per row
+           that has entries: the field values of ra·(eqᵀA) + rb·(eqᵀB)
+           + rc·(eqᵀC) without a pass over the 2·half columns *)
+        let eq = Ml.evals (Ml.eq_table rx) in
+        let mx = Array.make (2 * t.half) Fr.zero in
+        List.iter
+          (fun (m, scale) -> Sm.fold_rows m ~scale eq mx)
+          [ (t.a, ra); (t.b, rb); (t.c, rc) ];
+        mx)
   in
   let sc2, ry, _finals2 =
     Span.with_span "prove.sumcheck2" (fun () ->

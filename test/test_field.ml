@@ -94,6 +94,65 @@ struct
              (B.to_bytes_be (B.erem x p) F.size_in_bytes)))
       edge_operands
 
+  (* mat_mul against the per-term oracle. Each entry is drawn from the
+     edges 0, 1 and p−1, small values (below 2^7, one limb), full-width
+     random values and 2^(26(k−1)) − 1, whose k−1 low limbs are all ones
+     (the largest limb products a column can take), so one row mixes limb
+     lengths; the inner dimensions sit either side of the kernel's
+     64-term carry interval. *)
+  module Oracle = Matmul_oracle.Make (F)
+
+  let low_limbs_full =
+    let k = (B.num_bits F.modulus + 25) / 26 in
+    F.of_bigint (B.sub (B.shift_left B.one (26 * (k - 1))) B.one)
+
+  let mat_mul_agrees x w =
+    let got = F.mat_mul x w and want = Oracle.multiply x w in
+    Array.length got = Array.length want && Array.for_all2 (Array.for_all2 F.equal) got want
+
+  let mat_mul_entry rng =
+    match Random.State.int rng 6 with
+    | 0 -> F.zero
+    | 1 -> F.one
+    | 2 -> F.neg F.one
+    | 3 -> F.of_int (Random.State.int rng 128)
+    | 4 -> low_limbs_full
+    | _ -> F.random rng
+
+  let mat_mul_prop =
+    QCheck.Test.make ~name:(Name.name ^ ": mat_mul matches the oracle") ~count:60
+      QCheck.(
+        quad (int_range 1 3) (oneofl [ 1; 2; 63; 64; 65; 200 ]) (int_range 1 3)
+          (int_bound 1_000_000))
+      (fun (a, n, b, seed) ->
+        let rng = Random.State.make [| seed |] in
+        let matrix rows cols =
+          Array.init rows (fun _ -> Array.init cols (fun _ -> mat_mul_entry rng))
+        in
+        let x = matrix a n in
+        mat_mul_agrees x (matrix n b))
+
+  let test_mat_mul_edges () =
+    let col n v = Array.init n (fun _ -> [| v |]) in
+    let pm1 = F.neg F.one in
+    List.iter
+      (fun (what, x, w) -> Alcotest.(check bool) what true (mat_mul_agrees x w))
+      [ (* past the 4096-term Montgomery chunk at 254 bits; 8200 terms of
+           (p−1)² sum past R² = 2^520 for Fr and Fq, so one chunk of them
+           would overflow *)
+        ("1x8200x1 of p-1", [| Array.make 8200 pm1 |], col 8200 pm1);
+        ( "1x4100x1 mixed",
+          (let rng = Random.State.make [| 4100 |] in
+           [| Array.init 4100 (fun _ -> mat_mul_entry rng) |]),
+          col 4100 (F.of_int 127) );
+        ("64 terms of p-1", [| Array.make 64 pm1; Array.make 64 F.one |], col 64 pm1);
+        ("300 terms of full low limbs", [| Array.make 300 low_limbs_full |], col 300 low_limbs_full)
+      ];
+    Alcotest.check_raises "ragged" (Invalid_argument "mat_mul: dimensions") (fun () ->
+        ignore (F.mat_mul [| [| F.one; F.one |] |] [| [| F.one |] |]));
+    Alcotest.check_raises "empty inner" (Invalid_argument "mat_mul: empty inner dimension")
+      (fun () -> ignore (F.mat_mul [| [||] |] [||]))
+
   module Sqrt = Zkvc_field.Sqrt.Make (F)
 
   let sqrt_props =
@@ -127,6 +186,7 @@ struct
       Alcotest.test_case "inv zero raises" `Quick (fun () ->
           Alcotest.check_raises "inv 0" Division_by_zero (fun () -> ignore (F.inv F.zero)));
       Alcotest.test_case "mul on edge operands matches bigint" `Quick test_mul_edges;
+      Alcotest.test_case "mat_mul on edge shapes matches the oracle" `Quick test_mat_mul_edges;
       Alcotest.test_case "of_bytes_exn matches bigint on edge encodings" `Quick (fun () ->
           (* the decoder accepts exactly the big-endian values below p and
              returns them: 0, p − 1, p, p + 1, all-0xff, and random byte
@@ -172,7 +232,8 @@ struct
             inputs) ]
 
   let suite =
-    (Name.name, unit_tests @ List.map QCheck_alcotest.to_alcotest (props @ sqrt_props))
+    ( Name.name,
+      unit_tests @ List.map QCheck_alcotest.to_alcotest (props @ sqrt_props @ [ mat_mul_prop ]) )
 end
 
 module Fr_suite = Make_suite (Zkvc_field.Fr) (struct let name = "Fr" end)

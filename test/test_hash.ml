@@ -43,6 +43,28 @@ let prop_incremental =
       Sha256.update_string ctx b;
       Bytes.equal (Sha256.finalize ctx) (Sha256.digest_string (a ^ b)))
 
+(* Two domains hash the same messages at once; every digest must equal
+   the one computed sequentially. A message schedule shared between
+   contexts gets overwritten mid-block by the other domain. *)
+let test_parallel_domains () =
+  let messages =
+    Array.init 500 (fun i ->
+        String.init (1 + (i * 7 mod 300)) (fun j -> Char.chr ((i + j) land 0xff)))
+  in
+  let expected = Array.map Sha256.digest_string messages in
+  let hash_all () =
+    let wrong = ref 0 in
+    for _ = 1 to 10 do
+      Array.iteri
+        (fun i m -> if not (Bytes.equal (Sha256.digest_string m) expected.(i)) then incr wrong)
+        messages
+    done;
+    !wrong
+  in
+  let d1 = Domain.spawn hash_all and d2 = Domain.spawn hash_all in
+  let wrong = Domain.join d1 + Domain.join d2 in
+  Alcotest.(check int) "digests differing from the sequential ones" 0 wrong
+
 module T = Zkvc_transcript.Transcript
 module Ch = T.Challenge (Zkvc_field.Fr)
 
@@ -90,7 +112,8 @@ let () =
     [ ( "sha256",
         [ Alcotest.test_case "NIST vectors" `Quick test_vectors;
           Alcotest.test_case "incremental" `Quick test_incremental_matches_oneshot;
-          QCheck_alcotest.to_alcotest prop_incremental ] );
+          QCheck_alcotest.to_alcotest prop_incremental;
+          Alcotest.test_case "two domains" `Quick test_parallel_domains ] );
       ( "transcript",
         [ Alcotest.test_case "determinism" `Quick test_transcript_determinism;
           Alcotest.test_case "input sensitivity" `Quick test_transcript_sensitivity;

@@ -215,7 +215,8 @@ let sparse_tests =
         let rx = List.init mu (fun _ -> Fr.random st) in
         let lhs = Ml.eval (Ml.of_evals mz) rx in
         let weights = Ml.evals (Ml.eq_table rx) in
-        let folded = Sm.fold_rows m weights in
+        let folded = Array.make (1 lsl nu) Fr.zero in
+        Sm.fold_rows m ~scale:Fr.one weights folded;
         let rhs = ref Fr.zero in
         Array.iteri (fun j v -> rhs := Fr.add !rhs (Fr.mul v z.(j))) folded;
         check_bool "fold_rows consistent" true (Fr.equal lhs !rhs);
@@ -226,6 +227,35 @@ let sparse_tests =
         let via_fold = ref Fr.zero in
         Array.iteri (fun j v -> via_fold := Fr.add !via_fold (Fr.mul v eq_ry.(j))) folded;
         check_bool "eval consistent" true (Fr.equal direct !via_fold));
+    qtest "scaled folds into one vector match the combined folds" gen_shape
+      (fun (mu, nu, seed) ->
+        (* Spartan's phase-two table: three folds scaled by ra, rb, rc into
+           one vector equal ra·fold(A) + rb·fold(B) + rc·fold(C); entries
+           in random row order, so same-row runs break up *)
+        let rng = Random.State.make [| seed |] in
+        let matrix () =
+          Sm.create ~mu ~nu
+            (List.init (Random.State.int rng 12) (fun _ ->
+                 { Sm.row = Random.State.int rng (1 lsl mu);
+                   col = Random.State.int rng (1 lsl nu);
+                   value = Fr.random rng }))
+        in
+        let mats = [ matrix (); matrix (); matrix () ] in
+        let rs = List.init 3 (fun _ -> Fr.random rng) in
+        let eq = Ml.evals (Ml.eq_table (List.init mu (fun _ -> Fr.random rng))) in
+        let fold m =
+          let acc = Array.make (1 lsl nu) Fr.zero in
+          Sm.fold_rows m ~scale:Fr.one eq acc;
+          acc
+        in
+        let one_vector = Array.make (1 lsl nu) Fr.zero in
+        List.iter2 (fun m scale -> Sm.fold_rows m ~scale eq one_vector) mats rs;
+        let combined =
+          List.fold_left2
+            (fun acc m r -> Array.map2 Fr.add acc (Array.map (Fr.mul r) (fold m)))
+            (Array.make (1 lsl nu) Fr.zero) mats rs
+        in
+        Array.for_all2 Fr.equal one_vector combined);
     qtest "eval_tables matches the per-entry oracle" gen_shape (fun (mu, nu, seed) ->
         let rng = Random.State.make [| seed |] in
         let entry () =

@@ -109,7 +109,6 @@ type job =
 type flight_record =
   { fr_request_id : string; (* hex, or "-" when the request carried no trace *)
     fr_kind : string;
-    fr_lane : string; (* "verify" | "prove" *)
     fr_worker : int; (* worker index (0 .. workers-1) that executed it *)
     fr_cache : string; (* "hit" | "miss" | "-" *)
     fr_depth_at_admit : int;
@@ -125,7 +124,6 @@ let flight_record_to_json r =
   Json.Obj
     [ ("request_id", Json.String r.fr_request_id);
       ("kind", Json.String r.fr_kind);
-      ("lane", Json.String r.fr_lane);
       ("worker", Json.Int r.fr_worker);
       ("cache", Json.String r.fr_cache);
       ("depth_at_admit", Json.Int r.fr_depth_at_admit);
@@ -175,6 +173,10 @@ let respond ?timing conn resp =
 
 let respond_error conn code message = respond conn (Wire.Error { code; message })
 
+(* Status reports queued jobs by request kind: both verify shapes, and
+   the rest (keygen, prove). Control requests never reach the scheduler. *)
+let is_verify = function Wire.Verify _ | Wire.Batch_verify _ -> true | _ -> false
+
 let status t =
   { Wire.uptime_s = Span.now () -. t.started_at;
     requests = Atomic.get t.requests;
@@ -188,8 +190,8 @@ let status t =
     batched = Atomic.get t.batched;
     workers = Stdlib.max 1 t.cfg.workers;
     workers_busy = Atomic.get t.busy_workers;
-    queue_depth_verify = Jobs.lane_depth t.jobs_q Jobs.Lane_verify;
-    queue_depth_prove = Jobs.lane_depth t.jobs_q Jobs.Lane_prove }
+    queue_depth_verify = Jobs.count t.jobs_q (fun j -> is_verify j.req);
+    queue_depth_prove = Jobs.count t.jobs_q (fun j -> not (is_verify j.req)) }
 
 (* ---------------- flight recorder / telemetry ---------------- *)
 
@@ -228,22 +230,6 @@ let request_kind = function
   | Wire.Status -> "status"
   | Wire.Status_detail -> "status_detail"
   | Wire.Shutdown -> "shutdown"
-
-(* Lane assignment: verification is cheap and latency-sensitive, so both
-   verify shapes ride the priority lane; keygen/prove are the heavy
-   throughput lane. Control requests never reach the scheduler. *)
-let lane_of_req = function
-  | Wire.Verify _ | Wire.Batch_verify _ -> Jobs.Lane_verify
-  | Wire.Keygen _ | Wire.Prove _ | Wire.Status | Wire.Status_detail | Wire.Shutdown ->
-    Jobs.Lane_prove
-
-(* DRR cost in deficit credits (quantum = 4): one visit affords one
-   prove, or four single verifies; a large batch verify costs
-   proportionally more so it cannot monopolise its lane. *)
-let cost_of_req = function
-  | Wire.Verify _ -> 1
-  | Wire.Batch_verify { items; _ } -> Stdlib.max 1 ((List.length items + 3) / 4 * 4)
-  | Wire.Keygen _ | Wire.Prove _ | Wire.Status | Wire.Status_detail | Wire.Shutdown -> 4
 
 let request_id_hex = function
   | Some { Wire.tr_request_id; _ } -> Wire.hex_of_id tr_request_id
@@ -438,7 +424,6 @@ let run_job t ~wid job =
   let wait_s = Span.now () -. job.admit_s in
   let args =
     ("worker", string_of_int wid)
-    :: ("lane", Jobs.lane_to_string (lane_of_req job.req))
     ::
     (match job.trace with
      | Some tr -> [ ("request_id", Wire.hex_of_id tr.Wire.tr_request_id) ]
@@ -462,7 +447,6 @@ let run_job t ~wid job =
   Flight.record t.flight
     { fr_request_id = request_id_hex job.trace;
       fr_kind = request_kind job.req;
-      fr_lane = Jobs.lane_to_string (lane_of_req job.req);
       fr_worker = wid;
       fr_cache = cache_outcome_of resp;
       fr_depth_at_admit = job.depth_at_admit;
@@ -610,10 +594,7 @@ and handle_request t conn ~trace ~payload_bytes req =
     in
     conn_retain conn;
     (* the queued job owns this ref; the worker releases it after responding *)
-    match
-      Jobs.push t.jobs_q ~client:conn.cid ~lane:(lane_of_req req)
-        ~cost:(cost_of_req req) job
-    with
+    match Jobs.push t.jobs_q ~client:conn.cid job with
     | `Ok -> ()
     | `Full ->
       conn_release conn;
@@ -704,7 +685,7 @@ let start cfg =
   let t =
     { cfg;
       listen_fd;
-      jobs_q = Jobs.create ~capacity:cfg.queue_capacity ();
+      jobs_q = Jobs.create ~capacity:cfg.queue_capacity;
       cache = Key_cache.create ~capacity:cfg.cache_capacity ?dir:cfg.cache_dir ();
       flight = Flight.create ~capacity:(Stdlib.max 1 cfg.flight_capacity);
       started_at = Span.now ();

@@ -4,13 +4,12 @@
     Threading model (systhreads, one OCaml domain): one accept thread,
     one reader thread per connection, and [config.workers] worker
     threads (default 1) pulling from the {!Jobs} scheduler — per-client
-    FIFOs under deficit round robin with a verify lane dispatched ahead
-    of the prove lane. Readers only parse, enqueue and answer
-    [Status]/[Status_detail]/[Shutdown]; proving/verifying happens on
-    the workers. The layers underneath are concurrency-safe for this:
-    [Zkvc_parallel] admits one submitter at a time (the rest degrade to
-    sequential), [Key_cache] runs keygen per-key single-flight, and
-    [Zkvc_obs] spans record per-thread. At most one job per connection
+    FIFOs served in plain round robin from one ring. Readers only parse,
+    enqueue and answer [Status]/[Status_detail]/[Shutdown];
+    proving/verifying happens on the workers. The layers underneath are
+    concurrency-safe for this: [Zkvc_parallel] admits one submitter at a
+    time (the rest degrade to sequential), [Key_cache] runs keygen
+    per-key single-flight, and [Zkvc_obs] spans record per-thread. At most one job per connection
     is in flight at once, so each connection's responses always arrive
     in request order regardless of worker count. Parallelism inside a
     job still comes from the domain pool ([config.jobs]).

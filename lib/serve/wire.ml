@@ -103,8 +103,8 @@ type status =
     timeouts : int;
     rejections : int;
     batched : int;
-    (* scheduler block: worker-pool size/occupancy and per-lane queue
-       depths *)
+    (* scheduler block: worker-pool size/occupancy and queued jobs by
+       request kind *)
     workers : int;
     workers_busy : int;
     queue_depth_verify : int;

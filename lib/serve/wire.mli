@@ -16,8 +16,8 @@
     an optional {!timing} block (request-id echo, queue wait, execution
     time, named phase offsets), enabling cross-process trace stitching.
     The {!status} payload ends with a scheduler block (worker-pool size
-    and occupancy, per-lane queue depths). Frames, proof files and key
-    files carrying any other version byte decode to
+    and occupancy, queued jobs by request kind). Frames, proof files and
+    key files carrying any other version byte decode to
     [Error (Unsupported_version v)].
 
     Integers are big-endian; scalars are the canonical 32-byte Fr
@@ -127,8 +127,8 @@ type status =
     batched : int;
     workers : int;  (** worker-thread pool size *)
     workers_busy : int;  (** workers executing a job right now *)
-    queue_depth_verify : int;  (** queued jobs in the verify lane *)
-    queue_depth_prove : int  (** queued jobs in the prove lane *) }
+    queue_depth_verify : int;  (** queued verify and batch-verify jobs *)
+    queue_depth_prove : int  (** queued keygen and prove jobs *) }
 
 type error_code =
   | Queue_full

@@ -2,9 +2,9 @@
    malformed-input fuzzing (decoding is total: typed errors, never
    exceptions, never over-reads), key-cache LRU + disk spill + per-key
    single-flight, batched verification with corrupted members, the
-   two-lane fair scheduler, and end-to-end socket sessions including
-   queue-full backpressure, deadlines, lane priority and multi-worker
-   byte-identity. *)
+   round-robin scheduler, and end-to-end socket sessions including
+   queue-full backpressure, deadlines, dispatch order, queue depths by
+   request kind and multi-worker byte-identity. *)
 
 module Fr = Zkvc_field.Fr
 module Api = Zkvc.Api
@@ -716,13 +716,13 @@ let pop_done q =
 
 let jobs_tests =
   [ Alcotest.test_case "per-client FIFO, backpressure, close" `Quick (fun () ->
-        let q = Jobs.create ~capacity:2 () in
-        let push x = Jobs.push q ~client:1 ~lane:Jobs.Lane_prove x in
+        let q = Jobs.create ~capacity:2 in
+        let push x = Jobs.push q ~client:1 x in
         check_bool "push 1" true (push 1 = `Ok);
         check_bool "push 2" true (push 2 = `Ok);
         check_bool "push 3 rejected" true (push 3 = `Full);
         (match Jobs.pop q with
-         | Some { Jobs.t_item = 1; t_client = 1; t_lane = Jobs.Lane_prove } -> ()
+         | Some { Jobs.t_item = 1; t_client = 1 } -> ()
          | _ -> Alcotest.fail "expected item 1 from client 1");
         check_bool "push 3 after pop" true (push 3 = `Ok);
         Jobs.close q;
@@ -734,42 +734,58 @@ let jobs_tests =
         check_int "drains in order" 2 (pop_done q);
         check_int "drains in order (2)" 3 (pop_done q);
         check_bool "empty after drain" true (Jobs.pop q = None));
-    Alcotest.test_case "verify lane dispatches ahead of earlier proves" `Quick
-      (fun () ->
-        let q = Jobs.create ~capacity:8 () in
-        ignore (Jobs.push q ~client:1 ~lane:Jobs.Lane_prove ~cost:4 "p1");
-        ignore (Jobs.push q ~client:2 ~lane:Jobs.Lane_prove ~cost:4 "p2");
-        ignore (Jobs.push q ~client:3 ~lane:Jobs.Lane_verify "v");
-        check_int "prove lane depth" 2 (Jobs.lane_depth q Jobs.Lane_prove);
-        check_int "verify lane depth" 1 (Jobs.lane_depth q Jobs.Lane_verify);
+    Alcotest.test_case "round robin keeps arrival order" `Quick (fun () ->
+        let q = Jobs.create ~capacity:8 in
+        ignore (Jobs.push q ~client:1 "p1");
+        ignore (Jobs.push q ~client:2 "p2");
+        ignore (Jobs.push q ~client:3 "v");
+        check_int "queued verifies" 1 (Jobs.count q (fun s -> s = "v"));
+        check_int "queued proves" 2 (Jobs.count q (fun s -> s <> "v"));
         let order = List.init 3 (fun _ -> pop_done q) in
-        check_bool "verify first, then proves in arrival order" true
-          (order = [ "v"; "p1"; "p2" ]));
+        check_bool "no kind overtakes: arrival order" true (order = [ "p1"; "p2"; "v" ]));
     Alcotest.test_case "a flooding client cannot starve a quiet one" `Quick (fun () ->
-        let q = Jobs.create ~capacity:16 () in
+        let q = Jobs.create ~capacity:16 in
         for i = 1 to 8 do
-          ignore (Jobs.push q ~client:1 ~lane:Jobs.Lane_prove ~cost:4 (i * 10))
+          ignore (Jobs.push q ~client:1 (i * 10))
         done;
-        ignore (Jobs.push q ~client:2 ~lane:Jobs.Lane_prove ~cost:4 1);
+        ignore (Jobs.push q ~client:2 1);
         let order = List.init 9 (fun _ -> pop_done q) in
         (* round robin: the quiet client's single job is served on the
            next rotation, not behind the whole flood *)
         check_int "quiet client served promptly" 1 (List.nth order 1);
         check_int "flood still fully served" 80 (List.nth order 8));
-    Alcotest.test_case "an expensive head accumulates credit and dispatches" `Quick
-      (fun () ->
-        (* cost 9 > quantum 4: the head is starved twice, earns credit
-           across rescans, and must dispatch without blocking *)
-        let q = Jobs.create ~quantum:4 ~capacity:4 () in
-        ignore (Jobs.push q ~client:1 ~lane:Jobs.Lane_prove ~cost:9 "big");
-        check_bool "big job dispatched" true (pop_done q = "big"));
+    Alcotest.test_case "closed-loop verify and prove alternate" `Quick (fun () ->
+        (* two closed-loop connections, one only verifying and one only
+           proving. As on a served connection, each client's next
+           request arrives before the worker calls [complete] on its
+           last one. *)
+        let verifier = 1 and prover = 2 in
+        let q = Jobs.create ~capacity:4 in
+        ignore (Jobs.push q ~client:verifier "verify");
+        ignore (Jobs.push q ~client:prover "prove");
+        let order =
+          List.init 12 (fun _ ->
+              match Jobs.pop q with
+              | None -> Alcotest.fail "scheduler ran dry"
+              | Some tk ->
+                ignore (Jobs.push q ~client:tk.Jobs.t_client tk.Jobs.t_item);
+                Jobs.complete q ~client:tk.Jobs.t_client;
+                tk.Jobs.t_item)
+        in
+        check_int "proves dispatched" 6 (List.length (List.filter (( = ) "prove") order));
+        check_int "verifies dispatched" 6 (List.length (List.filter (( = ) "verify") order));
+        List.iteri
+          (fun i kind ->
+            if i > 0 && kind = List.nth order (i - 1) then
+              Alcotest.failf "pop %d repeats %s: %s" i kind (String.concat " " order))
+          order);
     Alcotest.test_case "pop blocks until a push arrives" `Quick (fun () ->
-        let q = Jobs.create ~capacity:1 () in
+        let q = Jobs.create ~capacity:1 in
         let got = ref None in
         let th = Thread.create (fun () -> got := Jobs.pop q) () in
         Thread.delay 0.05;
         check_bool "still blocked" true (!got = None);
-        ignore (Jobs.push q ~client:7 ~lane:Jobs.Lane_verify 42);
+        ignore (Jobs.push q ~client:7 42);
         Thread.join th;
         check_bool "woke with the job" true
           (match !got with Some tk -> tk.Jobs.t_item = 42 | None -> false)) ]
@@ -974,8 +990,8 @@ let e2e_tests =
         Unix.close sh;
         Server.wait srv;
         check_bool "socket removed" false (Sys.file_exists socket));
-    Alcotest.test_case "a queued verify overtakes a queued prove" `Slow (fun () ->
-        let socket = temp_socket "lanes" in
+    Alcotest.test_case "queued jobs dispatch in arrival order" `Slow (fun () ->
+        let socket = temp_socket "ring" in
         let cfg =
           { (Server.default_config ~socket_path:socket) with Server.job_delay_s = 0.3 }
         in
@@ -1002,33 +1018,77 @@ let e2e_tests =
             let fd3 = raw_connect socket in
             Wire.write_frame fd1 prove_req;
             Thread.delay 0.1;
-            (* the worker is inside fd1's prove; both of these queue *)
+            (* the worker is inside fd1's prove; both of these queue, the
+               prove first *)
             Wire.write_frame fd2 prove_req;
+            Thread.delay 0.05;
             Wire.write_frame fd3
               (Wire.Request
                  ( None,
                    Wire.Verify { key_id; public_inputs = io; proof; deadline_ms = 0 } ));
-            (match Wire.read_frame fd3 with
-             | Ok (Wire.Response (_, Wire.Verify_ok true)) -> ()
-             | _ -> Alcotest.fail "expected Verify_ok");
             (match (Wire.read_frame fd1, Wire.read_frame fd2) with
              | ( Ok (Wire.Response (_, Wire.Prove_ok _)),
                  Ok (Wire.Response (_, Wire.Prove_ok _)) ) ->
                ()
-             | _ -> Alcotest.fail "both proves should still complete");
+             | _ -> Alcotest.fail "both proves should complete");
+            (match Wire.read_frame fd3 with
+             | Ok (Wire.Response (_, Wire.Verify_ok true)) -> ()
+             | _ -> Alcotest.fail "expected Verify_ok");
             List.iter Unix.close [ fd1; fd2; fd3 ];
-            (* the flight recorder (oldest first) shows the verify lane
-               jumping the queued prove *)
+            (* the flight recorder (oldest first) shows the queued jobs
+               served in arrival order: no kind of request overtakes *)
             let lines = String.split_on_char '\n' (String.trim (Server.flight_jsonl srv)) in
             check_int "four records" 4 (List.length lines);
-            check_bool "third completion is the verify" true
-              (contains ~sub:"\"kind\":\"verify\"" (List.nth lines 2));
-            check_bool "records carry their lane" true
-              (contains ~sub:"\"lane\":\"verify\"" (List.nth lines 2));
+            check_bool "third completion is the queued prove" true
+              (contains ~sub:"\"kind\":\"prove\"" (List.nth lines 2));
+            check_bool "fourth completion is the verify" true
+              (contains ~sub:"\"kind\":\"verify\"" (List.nth lines 3));
             check_bool "records carry their worker" true
-              (contains ~sub:"\"worker\":" (List.nth lines 2));
+              (contains ~sub:"\"worker\":" (List.nth lines 3));
             check_bool "verify records carry no hot region" true
-              (contains ~sub:"\"hot_region\":\"-\"" (List.nth lines 2))));
+              (contains ~sub:"\"hot_region\":\"-\"" (List.nth lines 3))));
+    Alcotest.test_case "Status counts queued jobs by kind" `Slow (fun () ->
+        let socket = temp_socket "kinds" in
+        let cfg =
+          { (Server.default_config ~socket_path:socket) with Server.job_delay_s = 0.3 }
+        in
+        with_server cfg (fun _ ->
+            let _, _, io, proof = Lazy.force groth16_fix in
+            let prove_req =
+              Wire.Request
+                ( None,
+                  Wire.Prove
+                    { backend = Api.Backend_spartan;
+                      strategy = Mc.Vanilla;
+                      dims = tiny;
+                      input = Wire.Seeded { seed = 4; bound = 16 };
+                      deadline_ms = 0 } )
+            in
+            (* queued, not executed yet: the key id need not exist *)
+            let verify_req =
+              Wire.Request
+                ( None,
+                  Wire.Verify
+                    { key_id = String.make 32 'k'; public_inputs = io; proof;
+                      deadline_ms = 0 } )
+            in
+            let fd1 = raw_connect socket in
+            let fd2 = raw_connect socket in
+            let fd3 = raw_connect socket in
+            Wire.write_frame fd1 prove_req;
+            Thread.delay 0.1;
+            (* the worker holds fd1's prove; one prove and one verify queue *)
+            Wire.write_frame fd2 prove_req;
+            Wire.write_frame fd3 verify_req;
+            Thread.delay 0.05;
+            (match Client.with_connection socket (fun c -> Client.request_exn c Wire.Status) with
+             | Wire.Status_ok s ->
+               check_int "queue depth" 2 s.Wire.queue_depth;
+               check_int "queued verifies" 1 s.Wire.queue_depth_verify;
+               check_int "queued proves" 1 s.Wire.queue_depth_prove
+             | _ -> Alcotest.fail "expected Status_ok");
+            List.iter (fun fd -> ignore (Wire.read_frame fd)) [ fd1; fd2; fd3 ];
+            List.iter Unix.close [ fd1; fd2; fd3 ]));
     Alcotest.test_case "workers=4: concurrent proves are byte-identical" `Slow
       (fun () ->
         let socket = temp_socket "workers4" in
@@ -1097,9 +1157,8 @@ let e2e_tests =
                 samples
             in
             check_bool "zkvc_serve_workers 4 exposed" true (value "zkvc_serve_workers" = Some 4.);
-            List.iter
-              (fun m -> check_bool (m ^ " exposed") true (value m <> None))
-              [ "zkvc_serve_queue_depth_verify"; "zkvc_serve_queue_depth_prove" ]));
+            check_bool "zkvc_serve_queue_depth exposed" true
+              (value "zkvc_serve_queue_depth" <> None)));
     Alcotest.test_case "shutdown is prompt despite a long metrics interval" `Slow
       (fun () ->
         let socket = temp_socket "promptstop" in

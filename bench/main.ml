@@ -11,7 +11,7 @@
      micro substrate micro-benchmarks (Bechamel)
 
    Usage: main.exe [--full] [--only SECTIONS] [--scale N] [--jobs N]
-                   [--repeat N] [--agg-max N] [--optimize]
+                   [--repeat N] [--agg-max N]
      --full       run matmul benches at the paper's dimensions (slow)
      --scale N    divide matmul dimensions by N (default 4; 1 = paper size)
      --jobs N     prover worker domains (0 = all cores; default
@@ -20,8 +20,6 @@
      --agg-max N  largest batch size the agg section measures (default 16)
      --repeat N   repeat every matmul measurement N times after one
                   untimed warmup run; tables carry the per-phase median
-     --optimize   run the R1CS optimiser pipeline (lib/opt) on every matmul
-                  circuit before setup/prove; -O for short
 
    Human tables go to stdout; progress and log chatter go to stderr. The
    tab2 and agg sections also print labelled "gate:" lines carrying the
@@ -65,10 +63,6 @@ let scale = ref 4
 let repeat = ref 1
 let only : string list ref = ref []
 
-(* --optimize: run the R1CS optimiser pipeline (Zkvc_opt) on every
-   matmul circuit before setup/prove *)
-let optimize = ref false
-
 (* human tables *)
 let tbl fmt = Printf.printf fmt
 
@@ -85,7 +79,7 @@ let agg_max = ref 16
 let usage_error msg =
   Printf.eprintf "bench: %s\n" msg;
   Printf.eprintf
-    "usage: main.exe [--full] [--scale N] [--jobs N] [--only SECTIONS] [--repeat N] [--agg-max N] [--optimize]\n";
+    "usage: main.exe [--full] [--scale N] [--jobs N] [--only SECTIONS] [--repeat N] [--agg-max N]\n";
   exit 2
 
 let () =
@@ -135,9 +129,6 @@ let () =
        | None -> usage_error (Printf.sprintf "--agg-max expects an integer, got %S" n));
       parse rest
     | [ "--agg-max" ] -> usage_error "--agg-max expects an argument"
-    | "--optimize" :: rest | "-O" :: rest ->
-      optimize := true;
-      parse rest
     | arg :: _ -> usage_error ("unknown argument: " ^ arg)
   in
   parse (List.tl (Array.to_list Sys.argv));
@@ -198,8 +189,7 @@ let median_measurement (ms : Api.measurement list) =
 
 let measure backend strategy d inst =
   let x, w = inst in
-  let opt = if !optimize then Some Api.Opt.default else None in
-  let run () = snd (Api.run ~rng ?optimize:opt backend strategy ~x ~w d) in
+  let run () = snd (Api.run ~rng backend strategy ~x ~w d) in
   (* one untimed warmup so the first rep doesn't pay cold-cache costs *)
   if !repeat > 1 then ignore (run ());
   median_measurement (List.init !repeat (fun _ -> run ()))
@@ -728,10 +718,9 @@ let run_micro () =
 (* ------------------------------------------------------------------ *)
 
 let () =
-  progress "zkVC reproduction bench harness (scale=1/%d%s%s, jobs=%d, repeat=%d, clock=monotonic)\n"
+  progress "zkVC reproduction bench harness (scale=1/%d%s, jobs=%d, repeat=%d, clock=monotonic)\n"
     !scale
     (if !full then " full" else "")
-    (if !optimize then " optimised" else "")
     (Zkvc_parallel.jobs ())
     !repeat;
   if enabled "tab1" then run_tab1 ();

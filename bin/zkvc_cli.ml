@@ -85,19 +85,6 @@ let backend_arg =
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
 
-let optimize_arg =
-  Arg.(value & flag
-       & info [ "optimize"; "O" ]
-           ~doc:"Run the R1CS optimiser pipeline (constant folding, wire \
-                 unification, dead-constraint elimination, linear-subexpression \
-                 sharing) on the circuit before keygen/prove. Satisfiability \
-                 and the CRPC challenge are unchanged; keys from an optimised \
-                 circuit only verify proofs of the same optimised circuit.")
-
-(* the CLI flag always selects the default pipeline; the library accepts
-   finer-grained configs *)
-let opt_of_flag b = if b then Some Api.Opt.default else None
-
 (* ---- codec file IO ---- *)
 
 (* a [Sys_error] message naming [path]: open errors already name the
@@ -198,9 +185,9 @@ let prove_cmd =
          & info [ "key" ] ~docv:"FILE"
              ~doc:"Prove under the keys in this key file (from $(b,keygen)) \
                    instead of generating fresh ones. The statement's \
-                   backend, strategy, dims and optimiser config come from \
-                   the file; only $(b,--seed) picks the instance. Proofs \
-                   from different seeds then share one key — required for \
+                   backend, strategy and dims come from the file; only \
+                   $(b,--seed) picks the instance. Proofs from different \
+                   seeds then share one key — required for \
                    $(b,verify --batch). CRPC keys are \
                    statement-bound, so this needs a challenge-free \
                    strategy (vanilla / vanilla+psq) or a matching seed.")
@@ -212,10 +199,10 @@ let prove_cmd =
      yielding an unverifiable proof). *)
   let run_with_key kf seed out =
     let d = kf.Wire.kf_dims and strategy = kf.Wire.kf_strategy in
-    let backend = kf.Wire.kf_backend and optimize = kf.Wire.kf_opt in
+    let backend = kf.Wire.kf_backend in
     let rng, x, w = seeded_statement d seed in
-    let prep = Api.prepare ?optimize strategy ~x ~w d in
-    let key_id = Key_cache.id_of ?opt:optimize backend strategy d prep in
+    let prep = Api.prepare strategy ~x ~w d in
+    let key_id = Key_cache.id_of backend strategy d prep in
     if key_id <> kf.Wire.kf_key_id then begin
       Printf.eprintf
         "zkvc_cli: statement key %s does not match the key file's %s\n\
@@ -239,7 +226,7 @@ let prove_cmd =
       if ok then 0 else 1
     end
   in
-  let run d strategy backend seed trace metrics jobs out optimize key_file =
+  let run d strategy backend seed trace metrics jobs out key_file =
     Zkvc_parallel.set_jobs jobs;
     match key_file with
     | Some file -> (
@@ -247,7 +234,6 @@ let prove_cmd =
       | None -> 2
       | Some kf -> run_with_key kf seed out)
     | None ->
-    let optimize = opt_of_flag optimize in
     let rng, x, w = seeded_statement d seed in
     let observing = trace <> None || metrics in
     if observing then begin
@@ -256,20 +242,16 @@ let prove_cmd =
       Obs.Sink.enable ()
     end;
     (* prepared once, under the span [Api.run] gives synthesis: the
-       statement also carries the optimiser report and the --out
-       descriptor *)
+       statement also carries the --out descriptor *)
     let prep =
-      Obs.Span.with_span "zkvc.build_circuit" (fun () -> Api.prepare ?optimize strategy ~x ~w d)
+      Obs.Span.with_span "zkvc.build_circuit" (fun () -> Api.prepare strategy ~x ~w d)
     in
     let proof, m = Api.run_prepared ~rng backend strategy d prep in
     if observing then Obs.Sink.disable ();
     Format.printf "%a@." Api.pp_measurement m;
-    (match prep.Api.opt with
-     | Some { Api.opt_report; _ } -> Format.printf "%a@." Api.Opt.pp_report opt_report
-     | None -> ());
     (match out with
      | Some file ->
-       let key_id = Key_cache.id_of ?opt:optimize backend strategy d prep in
+       let key_id = Key_cache.id_of backend strategy d prep in
        write_proof_file file ~backend ~strategy ~dims:d ~challenge:prep.Api.challenge
          ~key_id ~public_inputs:(Api.Cs.public_inputs prep.Api.cs prep.Api.assignment) proof;
        Printf.printf "proof file: %s (key %s)\n" file (Wire.hex_of_id key_id)
@@ -292,7 +274,7 @@ let prove_cmd =
   let doc = "Prove a random matmul instance and verify it (prints timings)." in
   Cmd.v (Cmd.info "prove" ~doc)
     Term.(const run $ dims_arg $ strategy_arg $ backend_arg $ seed_arg $ trace_arg
-          $ metrics_arg $ jobs_arg $ out_arg $ optimize_arg $ key_arg)
+          $ metrics_arg $ jobs_arg $ out_arg $ key_arg)
 
 (* ---- model ---- *)
 
@@ -418,53 +400,27 @@ let profile_cmd =
     Arg.(value & pos 0 (some string) None
          & info [] ~docv:"NEW.json" ~doc:"Second region tree for $(b,--compare).")
   in
-  let run d strategy backend seed jobs arch variant shrink folded json_file optimize
-      compare compare_to =
+  let run d strategy backend seed jobs arch variant shrink folded json_file compare
+      compare_to =
     match compare with
     | Some baseline -> profile_compare ~baseline ~candidate:compare_to
     | None ->
     Zkvc_parallel.set_jobs jobs;
-    let optimize = opt_of_flag optimize in
-    let rng, cs, assignment, tree, opt_report, section =
+    let rng, cs, assignment, tree, section =
       match arch with
       | None ->
         let rng, x, w = seeded_statement d seed in
-        let prep = Api.prepare ?optimize strategy ~x ~w d in
-        let report = Option.map (fun o -> o.Api.opt_report) prep.Api.opt in
-        (rng, prep.Api.cs, prep.Api.assignment, prep.Api.regions, report, "profile")
+        let prep = Api.prepare strategy ~x ~w d in
+        (rng, prep.Api.cs, prep.Api.assignment, prep.Api.regions, "profile")
       | Some arch ->
         (* the model path draws no matrices: keygen gets the fresh rng *)
         let rng = Random.State.make [| seed |] in
         let arch = Models.shrink arch ~factor:shrink in
         let layers = Compiler.compile arch variant in
         let b = Compiler.synthesize ~strategy cfg layers in
-        let section = "profile-" ^ arch.Models.arch_name in
-        (match optimize with
-         | None ->
-           let cs, assignment, tree = Compiler.Counter.B.finalize_attributed b in
-           (rng, cs, assignment, tree, None, section)
-         | Some config ->
-           let cs, assignment, tree, prov =
-             Compiler.Counter.B.finalize_with_provenance b
-           in
-           let res =
-             Api.Opt.optimize ~config
-               ~provenance:
-                 { Api.Opt.constraint_region =
-                     prov.Compiler.Counter.B.constraint_region;
-                   wire_region = prov.Compiler.Counter.B.wire_region;
-                   tree }
-               cs
-           in
-           let tree = Option.value ~default:tree res.Api.Opt.regions in
-           ( rng,
-             res.Api.Opt.cs,
-             Api.Opt.expand_witness res.Api.Opt.map assignment,
-             tree, Some res.Api.Opt.report, section ))
+        let cs, assignment, tree = Compiler.Counter.B.finalize_attributed b in
+        (rng, cs, assignment, tree, "profile-" ^ arch.Models.arch_name)
     in
-    (match opt_report with
-     | Some r -> Format.printf "%a@.@." Api.Opt.pp_report r
-     | None -> ());
     let stats = Api.Cs.stats cs in
     let public_inputs = Api.Cs.public_inputs cs assignment in
     let t0 = Obs.Span.now () in
@@ -531,7 +487,7 @@ let profile_cmd =
   Cmd.v (Cmd.info "profile" ~doc)
     Term.(const run $ dims_arg $ strategy_arg $ backend_arg $ seed_arg $ jobs_arg
           $ arch_arg $ variant_arg $ shrink_arg $ folded_arg $ json_arg
-          $ optimize_arg $ compare_arg $ compare_to_arg)
+          $ compare_arg $ compare_to_arg)
 
 (* ---- gkr ---- *)
 
@@ -564,16 +520,12 @@ let keygen_cmd =
     Arg.(required & opt (some string) None
          & info [ "out" ] ~docv:"FILE" ~doc:"Write the key file here.")
   in
-  let run d strategy backend seed jobs out optimize =
+  let run d strategy backend seed jobs out =
     Zkvc_parallel.set_jobs jobs;
-    let optimize = opt_of_flag optimize in
     let rng, x, w = seeded_statement d seed in
-    let prep = Api.prepare ?optimize strategy ~x ~w d in
-    (match prep.Api.opt with
-     | Some { Api.opt_report; _ } -> Format.printf "%a@." Api.Opt.pp_report opt_report
-     | None -> ());
+    let prep = Api.prepare strategy ~x ~w d in
     let kf =
-      Key_cache.key_file ?opt:optimize backend strategy d prep
+      Key_cache.key_file backend strategy d prep
         (Api.keygen ~rng backend prep.Api.cs)
     in
     write_file out (Wire.encode_key_file kf);
@@ -586,7 +538,7 @@ let keygen_cmd =
   in
   Cmd.v (Cmd.info "keygen" ~doc)
     Term.(const run $ dims_arg $ strategy_arg $ backend_arg $ seed_arg $ jobs_arg
-          $ out_arg $ optimize_arg)
+          $ out_arg)
 
 (* ---- verify ---- *)
 
@@ -708,9 +660,11 @@ let serve_cmd =
   let workers_arg =
     Arg.(value & opt int 1
          & info [ "workers" ] ~docv:"N"
-             ~doc:"Worker threads serving jobs under fair scheduling (verifies \
-                   dispatch ahead of queued proves). The default 1 keeps the \
-                   single-worker behaviour.")
+             ~doc:"Worker threads serving jobs. Each connection's jobs queue \
+                   in its own FIFO; workers take the connections' heads in \
+                   plain round robin, with at most one job in flight per \
+                   connection. The default 1 keeps the single-worker \
+                   behaviour.")
   in
   let trace_arg =
     Arg.(value & opt (some string) None
@@ -747,7 +701,7 @@ let serve_cmd =
                    drains or crashes.")
   in
   let run socket queue cache cache_dir workers jobs trace metrics metrics_file
-      metrics_interval flight flight_file optimize =
+      metrics_interval flight flight_file =
     let cfg =
       { (Server.default_config ~socket_path:socket) with
         Server.queue_capacity = queue;
@@ -759,8 +713,7 @@ let serve_cmd =
         metrics_file;
         metrics_interval_s = metrics_interval;
         flight_capacity = flight;
-        flight_file;
-        optimize = opt_of_flag optimize }
+        flight_file }
     in
     if cfg.Server.observe then begin
       Obs.Span.reset ();
@@ -788,7 +741,7 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(const run $ socket_arg $ queue_arg $ cache_arg $ cache_dir_arg
           $ workers_arg $ jobs_arg $ trace_arg $ metrics_arg $ metrics_file_arg
-          $ metrics_interval_arg $ flight_arg $ flight_file_arg $ optimize_arg)
+          $ metrics_interval_arg $ flight_arg $ flight_file_arg)
 
 (* ---- client ---- *)
 
@@ -1151,15 +1104,13 @@ let adversary_cmd =
              ~doc:"Run only mutations whose name (family.mutation) contains \
                    this substring — as printed in a failure's repro line.")
   in
-  let run seed backend strategy dims only optimize =
+  let run seed backend strategy dims only =
     let opt_list v defaults = match v with Some v -> [ v ] | None -> defaults in
     let backends = opt_list backend [ Api.Backend_groth16; Api.Backend_spartan ] in
     let strategies = opt_list strategy Adv.default_strategies in
     let dims = opt_list dims Adv.default_dims in
-    let optimize = opt_of_flag optimize in
-    Printf.printf "adversary sweep: seed=%d%s\n%!" seed
-      (if optimize <> None then " (optimised circuits)" else "");
-    let reports, clean = Adv.sweep ?only ?optimize ~backends ~strategies ~dims ~seed () in
+    Printf.printf "adversary sweep: seed=%d\n%!" seed;
+    let reports, clean = Adv.sweep ?only ~backends ~strategies ~dims ~seed () in
     let mutations =
       List.fold_left (fun acc r -> acc + List.length r.Adv.cases) 0 reports
     in
@@ -1183,7 +1134,7 @@ let adversary_cmd =
   in
   Cmd.v (Cmd.info "adversary" ~doc)
     Term.(const run $ seed_arg $ backend_opt_arg $ strategy_opt_arg $ dims_opt_arg
-          $ only_arg $ optimize_arg)
+          $ only_arg)
 
 let () =
   (* span timestamps must be wall time everywhere (Sys.time is per-process

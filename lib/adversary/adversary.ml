@@ -53,7 +53,6 @@ let contains ~sub s =
 
 type fixture =
   { t : target;
-    opt : Api.Opt.config option;  (* optimiser the fixture was built under *)
     x : Fr.t array array;
     w : Fr.t array array;
     prep : Api.prepared;
@@ -65,15 +64,15 @@ type fixture =
    never shifts the randomness another family sees. *)
 let stream t salt = Random.State.make [| t.seed; salt |]
 
-let make_fixture ?optimize t =
+let make_fixture t =
   let rng = stream t 0 in
   let d = t.dims in
   let x, w = Spec.random_statement rng ~bound:256 d in
-  let prep = Api.prepare ?optimize t.strategy ~x ~w d in
+  let prep = Api.prepare t.strategy ~x ~w d in
   let keys = Api.keygen ~rng t.backend prep.Api.cs in
   let proof = Api.prove_with ~rng keys prep.Api.assignment in
   let public_inputs = Api.Cs.public_inputs prep.Api.cs prep.Api.assignment in
-  { t; opt = optimize; x; w; prep; keys; proof; public_inputs }
+  { t; x; w; prep; keys; proof; public_inputs }
 
 let verify_fixture fx proof = Api.verify_with fx.keys ~public_inputs:fx.public_inputs proof
 
@@ -129,7 +128,7 @@ let groth16_cases col fx p =
     let rng = stream fx.t 2 in
     let d = fx.t.dims in
     let x2, w2 = Spec.random_statement rng ~bound:256 d in
-    let prep2 = Api.prepare ?optimize:fx.opt fx.t.strategy ~x:x2 ~w:w2 d in
+    let prep2 = Api.prepare fx.t.strategy ~x:x2 ~w:w2 d in
     let q =
       match Api.prove_with ~rng fx.keys prep2.Api.assignment with
       | Api.Groth16_proof q -> q
@@ -159,7 +158,7 @@ let spartan_cases col fx p =
     let rng = stream fx.t 2 in
     let d = fx.t.dims in
     let x2, w2 = Spec.random_statement rng ~bound:256 d in
-    let prep2 = Api.prepare ?optimize:fx.opt fx.t.strategy ~x:x2 ~w:w2 d in
+    let prep2 = Api.prepare fx.t.strategy ~x:x2 ~w:w2 d in
     let q = Api.prove_with ~rng fx.keys prep2.Api.assignment in
     emit col "spartan.splice" "transplant" (fun () ->
         (verdict (verify_fixture fx q), ""))
@@ -202,13 +201,9 @@ let witness_cases col fx =
       let proof = Api.prove_with ~rng:(stream fx.t 5) fx.keys asg in
       (verdict (Api.verify_with fx.keys ~public_inputs:publics proof), ""));
   (* one corrupted internal wire (the prefix-sum link s_k for the PSQ
-     strategies, a product / CRPC term wire otherwise). Skipped under the
-     optimiser: compaction renumbers aux wires, so the structural index
-     below no longer names a binding wire — it could land on a private
-     x/w entry whose +1 bump is absorbed by a zero partner coefficient,
-     a sound acceptance the harness would misread as a forgery. *)
+     strategies, a product / CRPC term wire otherwise) *)
   let first_internal = 1 + num_inputs + (d.Mspec.a * d.Mspec.n) + (d.Mspec.n * d.Mspec.b) in
-  if fx.opt = None && Array.length fx.prep.Api.assignment > first_internal then begin
+  if Array.length fx.prep.Api.assignment > first_internal then begin
     let internal_count = Array.length fx.prep.Api.assignment - first_internal in
     let idx = first_internal + Random.State.int rng internal_count in
     let name =
@@ -356,7 +351,7 @@ let batch_members fx n =
         (fx.public_inputs, Api.prove_with ~rng fx.keys fx.prep.Api.assignment)
       else begin
         let x, w = Spec.random_statement rng ~bound:256 d in
-        let prep = Api.prepare ?optimize:fx.opt fx.t.strategy ~x ~w d in
+        let prep = Api.prepare fx.t.strategy ~x ~w d in
         ( Api.Cs.public_inputs prep.Api.cs prep.Api.assignment,
           Api.prove_with ~rng fx.keys prep.Api.assignment )
       end)
@@ -420,7 +415,7 @@ let batch_cases col fx =
 let wire_cases col fx =
   let challenge = fx.prep.Api.challenge in
   let kf =
-    Key_cache.key_file ?opt:fx.opt fx.t.backend fx.t.strategy fx.t.dims fx.prep fx.keys
+    Key_cache.key_file fx.t.backend fx.t.strategy fx.t.dims fx.prep fx.keys
   in
   let key_id = kf.Wire.kf_key_id in
   let descriptor_matches ~backend ~strategy ~dims ~challenge:ch =
@@ -613,8 +608,8 @@ let wire_cases col fx =
 
 (* ---- driver ---- *)
 
-let run_target ?only ?optimize t =
-  let fx = make_fixture ?optimize t in
+let run_target ?only t =
+  let fx = make_fixture t in
   let honest = verify_fixture fx fx.proof in
   let col = { only; acc = [] } in
   let honest_ipa =
@@ -662,15 +657,13 @@ let pp_report fmt r =
   List.iter (fun c -> Format.fprintf fmt "   %a@," pp_case c) r.cases;
   Format.fprintf fmt "@]"
 
-let repro_hint ?optimize t c =
+let repro_hint t c =
   Printf.sprintf
-    "zkvc_cli adversary --seed %d --backend %s --strategy %s --dims %d,%d,%d%s --only '%s'"
+    "zkvc_cli adversary --seed %d --backend %s --strategy %s --dims %d,%d,%d --only '%s'"
     t.seed (Api.backend_name t.backend) (Mc.strategy_name t.strategy)
-    t.dims.Mspec.a t.dims.Mspec.n t.dims.Mspec.b
-    (match optimize with Some _ -> " --optimize" | None -> "")
-    (case_name c)
+    t.dims.Mspec.a t.dims.Mspec.n t.dims.Mspec.b (case_name c)
 
-let shrink ?optimize t c =
+let shrink t c =
   let { Mspec.a; n; b } = t.dims in
   let candidates = ref [] in
   for a' = 1 to a do
@@ -695,7 +688,7 @@ let shrink ?optimize t c =
       | Some _ -> found
       | None ->
         let t' = { t with dims = d } in
-        let r = run_target ~only:(case_name c) ?optimize t' in
+        let r = run_target ~only:(case_name c) t' in
         (match
            List.find_opt
              (fun c' -> case_name c' = case_name c && not (outcome_is_sound c'.outcome))
@@ -708,7 +701,7 @@ let shrink ?optimize t c =
 let default_dims = [ Mspec.dims ~a:2 ~n:2 ~b:2; Mspec.dims ~a:3 ~n:3 ~b:2 ]
 let default_strategies = Mc.all_strategies
 
-let sweep ?(out = Format.std_formatter) ?only ?optimize
+let sweep ?(out = Format.std_formatter) ?only
     ?(backends = [ Api.Backend_groth16; Api.Backend_spartan ])
     ?(strategies = default_strategies) ?(dims = default_dims) ~seed () =
   let reports = ref [] in
@@ -719,15 +712,15 @@ let sweep ?(out = Format.std_formatter) ?only ?optimize
           List.iter
             (fun d ->
               let t = { backend; strategy; dims = d; seed } in
-              let r = run_target ?only ?optimize t in
+              let r = run_target ?only t in
               reports := r :: !reports;
               Format.fprintf out "%a" pp_report r;
               List.iter
                 (fun c ->
-                  Format.fprintf out "   repro: %s@." (repro_hint ?optimize t c);
-                  match shrink ?optimize t c with
+                  Format.fprintf out "   repro: %s@." (repro_hint t c);
+                  match shrink t c with
                   | Some (t', c') ->
-                    Format.fprintf out "   shrunk: %s@." (repro_hint ?optimize t' c')
+                    Format.fprintf out "   shrunk: %s@." (repro_hint t' c')
                   | None -> ())
                 (failures r);
               Format.pp_print_flush out ())

@@ -82,15 +82,8 @@ type report =
     cases : case list }
 
 (** Run every applicable mutation against one target. [only] keeps just
-    the cases whose {!case_name} contains it as a substring. [optimize]
-    builds the fixture through the R1CS optimiser ([Api.prepare
-    ?optimize]) — keys, proofs and key files all come from the optimised
-    system, asserting that optimisation never widens the acceptance set.
-    The structural internal-wire witness mutation is skipped under the
-    optimiser (aux compaction renumbers wires, so its index no longer
-    names the wire the mutation is about); every other family runs
-    unchanged. *)
-val run_target : ?only:string -> ?optimize:Api.Opt.config -> target -> report
+    the cases whose {!case_name} contains it as a substring. *)
+val run_target : ?only:string -> target -> report
 
 (** Cases whose outcome is [Accepted] or [Crashed]. *)
 val failures : report -> case list
@@ -98,15 +91,14 @@ val failures : report -> case list
 (** Honest proofs verified and no mutation was accepted or crashed. *)
 val is_clean : report -> bool
 
-(** One [zkvc_cli adversary ...] command line reproducing the case
-    (with [--optimize] when the sweep ran optimised). *)
-val repro_hint : ?optimize:Api.Opt.config -> target -> case -> string
+(** One [zkvc_cli adversary ...] command line reproducing the case. *)
+val repro_hint : target -> case -> string
 
 (** Re-run a failing case at strictly smaller dimensions and return the
     smallest target (by [a·n·b], then lexicographically) where the same
     mutation still fails, with that failing case. [None] if it only
     fails at the original size. *)
-val shrink : ?optimize:Api.Opt.config -> target -> case -> (target * case) option
+val shrink : target -> case -> (target * case) option
 
 val pp_target : Format.formatter -> target -> unit
 val pp_case : Format.formatter -> case -> unit
@@ -127,7 +119,6 @@ val default_strategies : Zkvc.Matmul_circuit.strategy list
 val sweep :
   ?out:Format.formatter ->
   ?only:string ->
-  ?optimize:Api.Opt.config ->
   ?backends:Api.backend list ->
   ?strategies:Zkvc.Matmul_circuit.strategy list ->
   ?dims:Zkvc.Matmul_spec.dims list ->

@@ -9,7 +9,6 @@ module Spartan = Zkvc_spartan.Spartan
 module Qap = Groth16.Qap
 module Cs = Zkvc_r1cs.Constraint_system.Make (Fr)
 module Bld = Zkvc_r1cs.Builder.Make (Fr)
-module Opt = Zkvc_opt.Opt.Make (Fr)
 module Mc = Matmul_circuit.Make (Fr)
 module Spec = Matmul_spec.Make (Fr)
 
@@ -66,25 +65,18 @@ let timed name f =
   end
   else time f
 
-(* Optimiser traces attached to a prepared statement: the pass report and
-   the witness map relating original and optimised layouts. *)
-type opt_info = { opt_report : Opt.report; opt_map : Opt.witness_map }
-
 type prepared =
   { cs : Cs.t;
     assignment : Fr.t array;
     y : Fr.t array array;
     challenge : Fr.t option;
-    regions : Obs.Attrib.t;
-    opt : opt_info option }
+    regions : Obs.Attrib.t }
 
 (** Build the matmul circuit for the given strategy. For CRPC strategies
     the challenge is derived by Fiat–Shamir from X, W and Y (commit-then-
-    prove flow) — {e before} synthesis, so an optimiser config cannot
-    perturb it; the same derivation runs on the verifier side. With
-    [?optimize] the compiled system, assignment and region tree are the
-    optimised ones, ready for any key/prove/verify path. *)
-let prepare ?optimize strategy ~x ~w d =
+    prove flow) before synthesis; the same derivation runs on the
+    verifier side. *)
+let prepare strategy ~x ~w d =
   let y = Spec.multiply x w in
   let challenge =
     if Matmul_circuit.uses_challenge strategy then Some (Mc.derive_challenge ~x ~w ~y)
@@ -92,27 +84,8 @@ let prepare ?optimize strategy ~x ~w d =
   in
   let b = Bld.create () in
   ignore (Mc.build b strategy ?challenge ~x ~w ~y d);
-  match optimize with
-  | None ->
-    let cs, assignment, regions = Bld.finalize_attributed b in
-    { cs; assignment; y; challenge; regions; opt = None }
-  | Some config ->
-    let cs, assignment, regions, prov = Bld.finalize_with_provenance b in
-    let res =
-      Obs.Span.with_span "zkvc.optimize" (fun () ->
-          Opt.optimize ~config
-            ~provenance:
-              { Opt.constraint_region = prov.Bld.constraint_region;
-                wire_region = prov.Bld.wire_region;
-                tree = regions }
-            cs)
-    in
-    { cs = res.Opt.cs;
-      assignment = Opt.expand_witness res.Opt.map assignment;
-      y;
-      challenge;
-      regions = (match res.Opt.regions with Some t -> t | None -> regions);
-      opt = Some { opt_report = res.Opt.report; opt_map = res.Opt.map } }
+  let cs, assignment, regions = Bld.finalize_attributed b in
+  { cs; assignment; y; challenge; regions }
 
 let build_circuit strategy ~x ~w d =
   let p = prepare strategy ~x ~w d in
@@ -123,7 +96,7 @@ let build_circuit strategy ~x ~w d =
    witness values (see Builder), so synthesising with all-zero matrices
    reproduces the exact constraint system. This is what a verifier that
    never saw X and W (a key-file consumer, the serve disk cache) uses. *)
-let circuit_shape ?optimize strategy ?challenge d =
+let circuit_shape strategy ?challenge d =
   (match (Matmul_circuit.uses_challenge strategy, challenge) with
    | true, None ->
      invalid_arg "Api.circuit_shape: CRPC strategies need the proof's challenge"
@@ -134,10 +107,7 @@ let circuit_shape ?optimize strategy ?challenge d =
   let y = Array.make_matrix d.Matmul_spec.a d.Matmul_spec.b Fr.zero in
   let b = Bld.create () in
   ignore (Mc.build b strategy ?challenge ~x ~w ~y d);
-  let cs = fst (Bld.finalize b) in
-  match optimize with
-  | None -> cs
-  | Some config -> (Opt.optimize ~config cs).Opt.cs
+  fst (Bld.finalize b)
 
 type keys =
   | Groth16_keys of
@@ -213,9 +183,9 @@ let run_prepared ?(rng = default_rng ()) backend strategy d prep =
       verified = ok;
       timings } )
 
-let run ?rng ?optimize backend strategy ~x ~w d =
+let run ?rng backend strategy ~x ~w d =
   let prep =
-    Obs.Span.with_span "zkvc.build_circuit" (fun () -> prepare ?optimize strategy ~x ~w d)
+    Obs.Span.with_span "zkvc.build_circuit" (fun () -> prepare strategy ~x ~w d)
   in
   run_prepared ?rng backend strategy d prep
 

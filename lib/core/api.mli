@@ -6,11 +6,6 @@
 module Fr = Zkvc_field.Fr
 module Cs : module type of Zkvc_r1cs.Constraint_system.Make (Fr)
 
-(** The R1CS optimiser instantiated over the proof field; see
-    {!Zkvc_opt.Opt}. Threaded through {!prepare}/{!run}/{!circuit_shape}
-    via their [?optimize] argument. *)
-module Opt : module type of Zkvc_opt.Opt.Make (Fr)
-
 type backend = Backend_groth16 | Backend_spartan
 
 val backend_name : backend -> string
@@ -51,16 +46,9 @@ val build_circuit :
   Matmul_spec.dims ->
   Cs.t * Fr.t array * Fr.t array array
 
-(** Optimiser traces for a statement prepared with [?optimize]: the
-    per-pass report and the witness map relating the original and
-    optimised wire layouts. *)
-type opt_info = { opt_report : Opt.report; opt_map : Opt.witness_map }
-
 (** Everything {!build_circuit} computes, plus the Fiat–Shamir challenge
     the CRPC strategies bound into the constraint coefficients ([None]
-    for the vanilla strategies). When prepared with [?optimize], [cs],
-    [assignment] and [regions] all describe the {e optimised} system and
-    [opt] records how it was derived. *)
+    for the vanilla strategies). *)
 type prepared =
   { cs : Cs.t;
     assignment : Fr.t array;
@@ -68,13 +56,10 @@ type prepared =
     challenge : Fr.t option;
     regions : Zkvc_obs.Attrib.t
         (** constraint-provenance tree of the build (witness time filled,
-            prove share zero — no proving has happened yet) *);
-    opt : opt_info option }
+            prove share zero — no proving has happened yet) *) }
 
-(** The CRPC challenge is derived from X, W and Y {e before} synthesis,
-    so it is identical with and without [?optimize]. *)
+(** The CRPC challenge is derived from X, W and Y {e before} synthesis. *)
 val prepare :
-  ?optimize:Opt.config ->
   Matmul_circuit.strategy ->
   x:Fr.t array array ->
   w:Fr.t array array ->
@@ -85,12 +70,8 @@ val prepare :
     knowing X or W: circuit structure depends solely on (strategy, dims)
     plus — for CRPC — the challenge. Used by verifiers that receive keys
     and proofs from elsewhere (key files, the proof service disk cache).
-    Raises [Invalid_argument] if a CRPC strategy is given no challenge.
-    [?optimize] must match how the statement's keys were produced: the
-    optimiser is deterministic, so the same config reproduces the same
-    optimised shape. *)
+    Raises [Invalid_argument] if a CRPC strategy is given no challenge. *)
 val circuit_shape :
-  ?optimize:Opt.config ->
   Matmul_circuit.strategy -> ?challenge:Fr.t -> Matmul_spec.dims -> Cs.t
 
 (** Per-circuit proving/verifying material for one backend — the unit the
@@ -125,7 +106,6 @@ val proof_size : proof -> int
     runs under a [zkvc.build_circuit] span. *)
 val run :
   ?rng:Random.State.t ->
-  ?optimize:Opt.config ->
   backend ->
   Matmul_circuit.strategy ->
   x:Fr.t array array ->

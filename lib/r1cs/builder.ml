@@ -30,7 +30,6 @@ module Make (F : Zkvc_field.Field_intf.S) = struct
      same node. *)
   type region =
     { r_name : string;
-      r_path : string; (* slash-joined path below the root, "" for the root *)
       mutable r_constraints : int;
       mutable r_variables : int;
       mutable r_nnz_a : int;
@@ -42,17 +41,14 @@ module Make (F : Zkvc_field.Field_intf.S) = struct
   type t =
     { mutable values : F.t array; (* growable; slot 0 = one *)
       mutable kinds : kind array;
-      mutable wire_regions : int array; (* region id per wire, parallel to values *)
       mutable n : int; (* wires allocated, including wire 0 *)
       mutable constraints : Cs.constr list; (* reversed *)
-      mutable constr_regions : int list; (* region id per constraint, reversed *)
       regions : (int, region) Hashtbl.t; (* id 0 = root (unattributed) *)
       mutable nregions : int;
       mutable cur_region : int }
 
-  let fresh_region ~path name =
+  let fresh_region name =
     { r_name = name;
-      r_path = path;
       r_constraints = 0;
       r_variables = 0;
       r_nnz_a = 0;
@@ -63,13 +59,11 @@ module Make (F : Zkvc_field.Field_intf.S) = struct
 
   let create () =
     let regions = Hashtbl.create 16 in
-    Hashtbl.add regions 0 (fresh_region ~path:"" "all");
+    Hashtbl.add regions 0 (fresh_region "all");
     { values = Array.make 16 F.zero;
       kinds = Array.make 16 Aux;
-      wire_regions = Array.make 16 0;
       n = 1;
       constraints = [];
-      constr_regions = [];
       regions;
       nregions = 1;
       cur_region = 0 }
@@ -78,13 +72,10 @@ module Make (F : Zkvc_field.Field_intf.S) = struct
     if b.n = Array.length b.values then begin
       let values = Array.make (2 * b.n) F.zero in
       let kinds = Array.make (2 * b.n) Aux in
-      let wire_regions = Array.make (2 * b.n) 0 in
       Array.blit b.values 0 values 0 b.n;
       Array.blit b.kinds 0 kinds 0 b.n;
-      Array.blit b.wire_regions 0 wire_regions 0 b.n;
       b.values <- values;
-      b.kinds <- kinds;
-      b.wire_regions <- wire_regions
+      b.kinds <- kinds
     end
 
   let region b id = Hashtbl.find b.regions id
@@ -94,7 +85,6 @@ module Make (F : Zkvc_field.Field_intf.S) = struct
     let v = b.n in
     b.values.(v) <- value;
     b.kinds.(v) <- kind;
-    b.wire_regions.(v) <- b.cur_region;
     b.n <- b.n + 1;
     let r = region b b.cur_region in
     r.r_variables <- r.r_variables + 1;
@@ -114,7 +104,6 @@ module Make (F : Zkvc_field.Field_intf.S) = struct
   (** Enforce [a * b = c]. *)
   let enforce b ?(label = "") a bb c =
     b.constraints <- { Cs.a; b = bb; c; label } :: b.constraints;
-    b.constr_regions <- b.cur_region :: b.constr_regions;
     let r = region b b.cur_region in
     r.r_constraints <- r.r_constraints + 1;
     r.r_nnz_a <- r.r_nnz_a + L.num_terms a;
@@ -137,8 +126,7 @@ module Make (F : Zkvc_field.Field_intf.S) = struct
       | None ->
         let id = b.nregions in
         b.nregions <- id + 1;
-        let path = if parent.r_path = "" then seg else parent.r_path ^ "/" ^ seg in
-        Hashtbl.add b.regions id (fresh_region ~path seg);
+        Hashtbl.add b.regions id (fresh_region seg);
         parent.r_children <- id :: parent.r_children;
         id
     in
@@ -191,9 +179,8 @@ module Make (F : Zkvc_field.Field_intf.S) = struct
     build 0
 
   (** Compile: wires are permuted to [one; inputs...; aux...] preserving
-      relative allocation order within each class. Also returns the
-      permutation (builder wire -> canonical wire). *)
-  let finalize_perm b =
+      relative allocation order within each class. *)
+  let finalize b =
     let num_inputs = ref 0 and num_aux = ref 0 in
     for i = 1 to b.n - 1 do
       match b.kinds.(i) with
@@ -222,39 +209,13 @@ module Make (F : Zkvc_field.Field_intf.S) = struct
     for i = 1 to b.n - 1 do
       assignment.(perm.(i)) <- b.values.(i)
     done;
-    ( { Cs.num_inputs = !num_inputs; num_aux = !num_aux; constraints },
-      assignment,
-      perm )
-
-  let finalize b =
-    let cs, assignment, _perm = finalize_perm b in
-    (cs, assignment)
+    ({ Cs.num_inputs = !num_inputs; num_aux = !num_aux; constraints }, assignment)
 
   (** [finalize] plus the provenance tree — the compiled system, full
       assignment and region attribution in one step. *)
   let finalize_attributed b =
     let cs, assignment = finalize b in
     (cs, assignment, region_tree b)
-
-  (* Per-constraint / per-wire provenance in the compiled system's own
-     numbering: region paths (slash-joined, "" = unattributed root) indexed
-     by constraint index and by canonical wire index. Consumed by the
-     optimiser so eliminations can be debited from their owning region. *)
-  type provenance =
-    { constraint_region : string array;
-      wire_region : string array }
-
-  let finalize_with_provenance b =
-    let cs, assignment, perm = finalize_perm b in
-    let path id = (region b id).r_path in
-    let constraint_region =
-      List.rev_map path b.constr_regions |> Array.of_list
-    in
-    let wire_region = Array.make b.n "" in
-    for i = 1 to b.n - 1 do
-      wire_region.(perm.(i)) <- path b.wire_regions.(i)
-    done;
-    (cs, assignment, region_tree b, { constraint_region; wire_region })
 
   (** Public-input vector in canonical order (excluding the one wire),
       as the verifier would receive it. *)

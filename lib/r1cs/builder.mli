@@ -60,20 +60,6 @@ module Make (F : Zkvc_field.Field_intf.S) : sig
       assignment, and the provenance tree in one step. *)
   val finalize_attributed : t -> Cs.t * F.t array * Zkvc_obs.Attrib.t
 
-  (** Fine-grained provenance in the {e compiled} system's numbering:
-      the owning region path (slash-joined segments below the root, [""]
-      for unattributed) per constraint index and per canonical wire
-      index (entry 0, the constant wire, is always [""]). This is what
-      the optimiser threads through its remaps so eliminated work can be
-      debited from the region that emitted it. *)
-  type provenance =
-    { constraint_region : string array;
-      wire_region : string array }
-
-  (** {!finalize_attributed} plus {!provenance}. *)
-  val finalize_with_provenance :
-    t -> Cs.t * F.t array * Zkvc_obs.Attrib.t * provenance
-
   (** Public-input values in canonical order (excluding the one wire). *)
   val public_inputs : t -> F.t list
 end

@@ -62,9 +62,10 @@ module Make (F : Zkvc_field.Field_intf.S) = struct
     in
     merge sorted
 
-  (* Renaming can alias two distinct wires onto one (the optimiser's
-     union-find does exactly that), so the result must be re-canonicalised,
-     not merely re-sorted. *)
+  (* [Builder.finalize]'s canonical permutation is the only caller, and a
+     permutation never aliases wires; but an arbitrary renaming can map two
+     distinct wires onto one, so the result is re-canonicalised, not merely
+     re-sorted. *)
   let map_vars f (a : t) : t = of_terms (List.map (fun (v, c) -> (f v, c)) a)
 
   let pp fmt (a : t) =

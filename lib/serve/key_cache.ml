@@ -41,7 +41,7 @@ let ids t = with_lock t (fun () -> List.map (fun e -> e.Wire.kf_key_id) t.entrie
    folded term by term (wire index + canonical coefficient bytes), so any
    coefficient difference — e.g. a different CRPC challenge — yields a
    different id. *)
-let id_of ?opt backend strategy dims (prep : Api.prepared) =
+let id_of backend strategy dims (prep : Api.prepared) =
   let cs = prep.Api.cs in
   let ctx = Sha256.init () in
   let u32 n =
@@ -67,10 +67,8 @@ let id_of ?opt backend strategy dims (prep : Api.prepared) =
   (match prep.Api.challenge with
    | None -> Sha256.update_string ctx "_"
    | Some z -> Sha256.update ctx (Fr.to_bytes z));
-  (* the optimiser config, so optimised and unoptimised keys can never
-     collide even if a config ever left the system unchanged *)
-  Sha256.update_string ctx
-    (match opt with None -> "_" | Some c -> Api.Opt.config_tag c);
+  (* the former build-config slot; absorbing its constant keeps existing ids *)
+  Sha256.update_string ctx "_";
   u32 cs.Cs.num_inputs;
   u32 cs.Cs.num_aux;
   u32 (Array.length cs.Cs.constraints);
@@ -92,17 +90,16 @@ let id_of ?opt backend strategy dims (prep : Api.prepared) =
   Bytes.to_string (Sha256.finalize ctx)
 
 (* the record [key_file] builds, for a caller that already holds the id *)
-let with_id id ?opt backend strategy dims (prep : Api.prepared) keys =
+let with_id id backend strategy dims (prep : Api.prepared) keys =
   { Wire.kf_backend = backend;
     kf_strategy = strategy;
     kf_dims = dims;
     kf_challenge = prep.Api.challenge;
-    kf_opt = opt;
     kf_key_id = id;
     kf_keys = keys }
 
-let key_file ?opt backend strategy dims prep keys =
-  with_id (id_of ?opt backend strategy dims prep) ?opt backend strategy dims prep keys
+let key_file backend strategy dims prep keys =
+  with_id (id_of backend strategy dims prep) backend strategy dims prep keys
 
 let spill_path t id =
   Option.map (fun d -> Filename.concat d (Wire.hex_of_id id ^ ".zkvk")) t.dir
@@ -181,8 +178,8 @@ let fill_inflight t id ~fresh =
     settle None;
     raise ex
 
-let find_or_add ?opt t backend strategy dims prep ~make =
-  let id = id_of ?opt backend strategy dims prep in
+let find_or_add t backend strategy dims prep ~make =
+  let id = id_of backend strategy dims prep in
   Mutex.lock t.lock;
   let rec get () =
     match promote_locked t id with
@@ -200,7 +197,7 @@ let find_or_add ?opt t backend strategy dims prep ~make =
         Hashtbl.add t.inflight id ();
         Mutex.unlock t.lock;
         fill_inflight t id ~fresh:(fun () ->
-            with_id id ?opt backend strategy dims prep (make ()))
+            with_id id backend strategy dims prep (make ()))
       end
   in
   get ()

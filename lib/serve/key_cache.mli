@@ -28,23 +28,19 @@ val length : t -> int
 val ids : t -> string list
 
 (** Deterministic cache id of a prepared statement under a backend: its
-    strategy, dims and Fiat–Shamir challenge, the optimiser config
-    ([?opt]) and the full (already optimised) constraint system, so
-    optimised and unoptimised keys can never collide. *)
+    strategy, dims and Fiat–Shamir challenge and the full constraint
+    system. *)
 val id_of :
-  ?opt:Api.Opt.config ->
   Api.backend ->
   Zkvc.Matmul_circuit.strategy ->
   Zkvc.Matmul_spec.dims ->
   Api.prepared ->
   string
 
-(** [key_file ?opt backend strategy dims prep keys] is the key file of
+(** [key_file backend strategy dims prep keys] is the key file of
     [prep]'s circuit under [keys], named by {!id_of}. [prep] must have
-    been prepared for [strategy] at [dims] (with [?opt] as its
-    optimiser config). *)
+    been prepared for [strategy] at [dims]. *)
 val key_file :
-  ?opt:Api.Opt.config ->
   Api.backend ->
   Zkvc.Matmul_circuit.strategy ->
   Zkvc.Matmul_spec.dims ->
@@ -64,7 +60,6 @@ val key_file :
     and return its entry as [`Hit_mem]. If [make] raises, one blocked
     waiter takes over the slot and retries. *)
 val find_or_add :
-  ?opt:Api.Opt.config ->
   t ->
   Api.backend ->
   Zkvc.Matmul_circuit.strategy ->

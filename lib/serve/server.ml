@@ -24,11 +24,7 @@ type config =
     metrics_file : string option;
     metrics_interval_s : float;
     flight_capacity : int;
-    flight_file : string option;
-    optimize : Api.Opt.config option
-        (* run the R1CS optimiser on every prepared circuit; absorbed
-           into cache ids and spilled key files so optimised and
-           unoptimised keys never mix *) }
+    flight_file : string option }
 
 (* Monotonic wall clock (CLOCK_MONOTONIC via bechamel's stub), in
    seconds. Deadlines and uptime must never go through
@@ -50,8 +46,7 @@ let default_config ~socket_path =
     metrics_file = None;
     metrics_interval_s = 1.;
     flight_capacity = 128;
-    flight_file = None;
-    optimize = None }
+    flight_file = None }
 
 (* serve.* metrics mirror the atomic counters below; the atomics are
    authoritative (Status works with the sink disabled). *)
@@ -294,13 +289,12 @@ let matrices_of_input dims input =
 (* prepare + cached keygen, shared by Keygen and Prove *)
 let prepared_keys t backend strategy dims input ~deadline =
   let rng, x, w = matrices_of_input dims input in
-  let optimize = t.cfg.optimize in
   let prep =
-    Span.with_span "serve.prepare" (fun () -> Api.prepare ?optimize strategy ~x ~w dims)
+    Span.with_span "serve.prepare" (fun () -> Api.prepare strategy ~x ~w dims)
   in
   check_deadline deadline;
   let kf, hit =
-    Key_cache.find_or_add ?opt:optimize t.cache backend strategy dims prep
+    Key_cache.find_or_add t.cache backend strategy dims prep
       ~make:(fun () ->
         Span.with_span "serve.keygen" (fun () -> Api.keygen ~rng backend prep.Api.cs))
   in

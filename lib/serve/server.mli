@@ -54,13 +54,7 @@ type config =
             default 128 *)
     flight_file : string option;
         (** dump the flight ring (JSONL) here when the last worker
-            drains or dies — same bytes [Status_detail] returns *)
-    optimize : Zkvc.Api.Opt.config option
-        (** run the R1CS optimiser ([Zkvc_opt]) on every circuit the
-            server prepares or keygens. The config is absorbed into
-            cache ids and spilled key files, so optimised and
-            unoptimised keys never mix. [None] (the default) leaves
-            circuits untouched. *) }
+            drains or dies — same bytes [Status_detail] returns *) }
 
 val default_config : socket_path:string -> config
 

@@ -769,27 +769,10 @@ type key_file =
     kf_strategy : Mc.strategy;
     kf_dims : Mspec.dims;
     kf_challenge : Fr.t option;
-    kf_opt : Api.Opt.config option;
     kf_key_id : string;
     kf_keys : Api.keys }
 
 let key_file_magic = "ZKVK"
-
-(* The optimiser block is a trailing extension: files for unoptimised
-   circuits are byte-identical to the pre-optimiser format, and old files
-   (no trailing bytes) decode with [kf_opt = None]. The block must ride in
-   the file because the circuit-derived key halves are resynthesised at
-   decode time — with the wrong config the rebuilt QAP/instance would not
-   match the stored proving material. *)
-let w_opt_config buf (c : Api.Opt.config) =
-  if c.Api.Opt.max_rounds < 0 || c.Api.Opt.max_rounds > 0xff then
-    invalid_arg "Wire.encode_key_file: optimiser max_rounds out of range";
-  w_u8 buf 1;
-  w_bool buf c.Api.Opt.const_fold;
-  w_bool buf c.Api.Opt.unify;
-  w_bool buf c.Api.Opt.dce;
-  w_bool buf c.Api.Opt.cse;
-  w_u8 buf c.Api.Opt.max_rounds
 
 let encode_key_file kf =
   let buf = Buffer.create 4096 in
@@ -805,7 +788,6 @@ let encode_key_file kf =
      w_lp_bytes buf (Groth16.verifying_key_to_bytes vk);
      w_lp_bytes buf (Groth16.proving_key_to_bytes pk)
    | Api.Spartan_keys { key; _ } -> w_lp_bytes buf (Spartan.key_to_bytes key));
-  (match kf.kf_opt with None -> () | Some c -> w_opt_config buf c);
   Buffer.to_bytes buf
 
 (* The circuit-derived halves (QAP, Spartan instance) are resynthesised
@@ -829,22 +811,8 @@ let decode_key_file bytes =
         `Groth16 (vk_b, pk_b)
       | Api.Backend_spartan -> `Spartan (r_lp_bytes c)
     in
-    let kf_opt =
-      if remaining c = 0 then None
-      else begin
-        (match r_u8 c with
-         | 1 -> ()
-         | n -> fail (Malformed (Printf.sprintf "unknown key-file opt tag %d" n)));
-        let const_fold = r_bool c in
-        let unify = r_bool c in
-        let dce = r_bool c in
-        let cse = r_bool c in
-        let max_rounds = r_u8 c in
-        Some { Api.Opt.const_fold; unify; dce; cse; max_rounds }
-      end
-    in
     let shape () =
-      try Api.circuit_shape ?optimize:kf_opt kf_strategy ?challenge:kf_challenge kf_dims
+      try Api.circuit_shape kf_strategy ?challenge:kf_challenge kf_dims
       with Invalid_argument msg -> fail (Malformed msg)
     in
     let kf_keys =
@@ -862,7 +830,7 @@ let decode_key_file bytes =
          with Invalid_argument msg -> fail (Malformed msg))
     in
     finished c "key file";
-    Ok { kf_backend; kf_strategy; kf_dims; kf_challenge; kf_opt; kf_key_id; kf_keys }
+    Ok { kf_backend; kf_strategy; kf_dims; kf_challenge; kf_key_id; kf_keys }
   with Fail e -> Error e
 
 let hex_of_id id = Sha256.to_hex (Bytes.of_string id)

@@ -213,16 +213,11 @@ type key_file =
     kf_strategy : Zkvc.Matmul_circuit.strategy;
     kf_dims : Zkvc.Matmul_spec.dims;
     kf_challenge : Fr.t option;
-    kf_opt : Api.Opt.config option
-        (** optimiser config the keys were generated against, encoded as
-            a trailing extension block: unoptimised files are
-            byte-identical to the pre-optimiser format and old files
-            decode as [None] *);
     kf_key_id : string;
     kf_keys : Api.keys
         (** Rebuilt on decode: the circuit-derived halves (Groth16 QAP,
             Spartan instance) are resynthesised from
-            [Api.circuit_shape], optimised per [kf_opt]. *) }
+            [Api.circuit_shape]. *) }
 
 val encode_key_file : key_file -> Bytes.t
 val decode_key_file : Bytes.t -> (key_file, error) result

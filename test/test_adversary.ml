@@ -240,28 +240,6 @@ let adversary_tests =
         List.iter
           (fun c -> Alcotest.failf "forgery: %s" (Adv.case_name c))
           (Adv.failures r));
-    Alcotest.test_case "optimised circuits reject the full mutation set" `Slow
-      (fun () ->
-        (* the whole sweep against optimiser-transformed systems: a pass
-           that widened the acceptance set would let a mutation through *)
-        List.iter
-          (fun (backend, strategy) ->
-            let r =
-              Adv.run_target ~optimize:Api.Opt.default
-                { Adv.backend; strategy; dims = tiny; seed = 42 }
-            in
-            check_bool "honest optimised proof verified" true r.Adv.honest_verified;
-            List.iter
-              (fun c ->
-                Alcotest.failf "forgery on optimised circuit: %s — %s"
-                  (Adv.case_name c)
-                  (Adv.repro_hint ~optimize:Api.Opt.default
-                     { Adv.backend; strategy; dims = tiny; seed = 42 }
-                     c))
-              (Adv.failures r))
-          [ (Api.Backend_spartan, Mc.Crpc_psq);
-            (Api.Backend_spartan, Mc.Vanilla);
-            (Api.Backend_groth16, Mc.Crpc_psq) ]);
     Alcotest.test_case "same seed reproduces the same verdicts" `Quick (fun () ->
         let t =
           { Adv.backend = Api.Backend_spartan;

@@ -166,11 +166,11 @@ let test_reentered_region_accumulates () =
   check_int "three constraints accumulated" 3
     (find_child "loop" tree).Attrib.self.Attrib.constraints
 
-let prepare ?optimize ~dims:(a, n, b) strategy =
+let prepare ~dims:(a, n, b) strategy =
   let rng = Random.State.make [| 11 |] in
   let x = Spec_fr.random_matrix rng ~rows:a ~cols:n ~bound:64 in
   let w = Spec_fr.random_matrix rng ~rows:n ~cols:b ~bound:64 in
-  Api.prepare ?optimize strategy ~x ~w (Mspec.dims ~a ~n ~b)
+  Api.prepare strategy ~x ~w (Mspec.dims ~a ~n ~b)
 
 let prepared_tree ~jobs strategy =
   Zkvc_parallel.set_jobs jobs;
@@ -214,16 +214,11 @@ let golden_tree strategy self =
         [ Attrib.make ~name:"alloc" ~self:{ z with Attrib.variables = 68 } [];
           Attrib.make ~name:(Mc.strategy_name strategy) ~self [] ] ]
 
-(* every golden strategy prepared at 3x4x8 without and with the
-   optimiser, labelled for the failure messages; shared by both tests *)
+(* every golden strategy prepared at 3x4x8; shared by both tests *)
 let golden_prepared =
   lazy
     (List.map
-       (fun ((strategy, _, _, _) as g) ->
-         let name = Mc.strategy_name strategy in
-         ( g,
-           [ (name, prepare ~dims:(3, 4, 8) strategy);
-             (name ^ " -O", prepare ~optimize:Api.Opt.default ~dims:(3, 4, 8) strategy) ] ))
+       (fun ((strategy, _, _, _) as g) -> (g, prepare ~dims:(3, 4, 8) strategy))
        golden)
 
 let ledger (p : Api.prepared) =
@@ -241,15 +236,13 @@ let test_golden_ledgers () =
       ("nnz_c", c.Attrib.nnz_c) ]
   in
   List.iter
-    (fun ((_, want, want_witness, _), prepared) ->
-      List.iter
-        (fun (label, p) ->
-          List.iter2
-            (fun (f, w) (_, g) -> check_int (label ^ ": " ^ f) w g)
-            (fields want)
-            (fields (ledger p));
-          check_int (label ^ ": witness") want_witness (Api.Cs.num_aux p.Api.cs))
-        prepared)
+    (fun ((strategy, want, want_witness, _), p) ->
+      let label = Mc.strategy_name strategy in
+      List.iter2
+        (fun (f, w) (_, g) -> check_int (label ^ ": " ^ f) w g)
+        (fields want)
+        (fields (ledger p));
+      check_int (label ^ ": witness") want_witness (Api.Cs.num_aux p.Api.cs))
     (Lazy.force golden_prepared)
 
 (* the region trees, their reconciliation with the global ledger, and
@@ -257,23 +250,18 @@ let test_golden_ledgers () =
    constraints and A/B-column nonzeros at the same dims *)
 let test_golden_region_trees () =
   List.iter
-    (fun ((strategy, _, _, self), prepared) ->
-      List.iter
-        (fun (label, p) ->
-          Alcotest.(check (list string))
-            (label ^ ": region drift") []
-            (Attrib.drift_notes ~old_:(golden_tree strategy self) ~new_:p.Api.regions);
-          check_int
-            (label ^ ": region constraints sum to the ledger")
-            (ledger p).Attrib.constraints
-            (Attrib.total p.Api.regions).Attrib.constraints)
-        prepared)
+    (fun ((strategy, _, _, self), p) ->
+      let label = Mc.strategy_name strategy in
+      Alcotest.(check (list string))
+        (label ^ ": region drift") []
+        (Attrib.drift_notes ~old_:(golden_tree strategy self) ~new_:p.Api.regions);
+      check_int
+        (label ^ ": region constraints sum to the ledger")
+        (ledger p).Attrib.constraints
+        (Attrib.total p.Api.regions).Attrib.constraints)
     (Lazy.force golden_prepared);
   let plain strategy =
-    let _, prepared =
-      List.find (fun ((s, _, _, _), _) -> s = strategy) (Lazy.force golden_prepared)
-    in
-    ledger (snd (List.hd prepared))
+    ledger (snd (List.find (fun ((s, _, _, _), _) -> s = strategy) (Lazy.force golden_prepared)))
   in
   let zkvc = plain Mc.Crpc_psq and vanilla = plain Mc.Vanilla in
   check_bool "CRPC+PSQ has strictly fewer constraints" true

@@ -371,7 +371,7 @@ let malformed_tests =
         let key_file =
           Wire.encode_key_file
             { Wire.kf_backend = Api.Backend_groth16; kf_strategy = Mc.Vanilla;
-              kf_dims = tiny; kf_challenge = None; kf_opt = None;
+              kf_dims = tiny; kf_challenge = None;
               kf_key_id = String.make 32 'v'; kf_keys = keys }
         in
         let with_version b v =
@@ -402,11 +402,23 @@ let malformed_tests =
         | Error (Wire.Oversized _) -> ()
         | _ -> Alcotest.fail "expected Oversized");
     Alcotest.test_case "trailing bytes rejected" `Quick (fun () ->
-        let b = sample_frame () in
-        let b' = Bytes.cat b (Bytes.of_string "x") in
-        match Wire.decode_frame b' with
-        | Error (Wire.Malformed _) -> ()
-        | _ -> Alcotest.fail "expected Malformed trailing");
+        let expect what = function
+          | Error (Wire.Malformed _) -> ()
+          | _ -> Alcotest.failf "%s: expected Malformed trailing" what
+        in
+        expect "frame" (Wire.decode_frame (Bytes.cat (sample_frame ()) (Bytes.of_string "x")));
+        (* a valid key file followed by the six-byte extension block
+           (tag 1, four pass flags, 8 rounds) key files once carried *)
+        let prep, keys, _, _ = Lazy.force spartan_fix in
+        let kf =
+          Wire.encode_key_file
+            { Wire.kf_backend = Api.Backend_spartan; kf_strategy = Mc.Vanilla;
+              kf_dims = tiny; kf_challenge = prep.Api.challenge;
+              kf_key_id = Key_cache.id_of Api.Backend_spartan Mc.Vanilla tiny prep;
+              kf_keys = keys }
+        in
+        expect "key file"
+          (Wire.decode_key_file (Bytes.cat kf (Bytes.of_string "\001\001\001\001\001\008"))));
     qtest ~count:200 "single-byte mutations never raise"
       QCheck.(pair (make gen_frame) (pair small_nat small_nat))
       (fun (f, (pos, v)) ->
@@ -469,7 +481,6 @@ let file_tests =
                   kf_strategy = strategy;
                   kf_dims = tiny;
                   kf_challenge = prep.Api.challenge;
-                  kf_opt = None;
                   kf_key_id = id;
                   kf_keys = keys }
             in
@@ -490,7 +501,6 @@ let file_tests =
               kf_strategy = Mc.Vanilla;
               kf_dims = tiny;
               kf_challenge = prep.Api.challenge;
-              kf_opt = None;
               kf_key_id = String.make 32 'z';
               kf_keys = keys }
         in

@@ -10,8 +10,8 @@
 # Everything else CI used to check lives under `dune runtest`: the Table II
 # ledgers and region trees (test/test_attrib.ml), proof byte-identity and the
 # proof service (test/test_serve.ml), the adversary grid
-# (test/test_adversary.ml), the optimiser (test/test_opt.ml) and the CLI's
-# offline and served surface with its exit codes (test/cli.t).
+# (test/test_adversary.ml) and the CLI's offline and served surface with its
+# exit codes (test/cli.t).
 set -eu
 
 cd "$(dirname "$0")/.."
